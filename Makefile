@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
+.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
 
 all: build test
 
@@ -80,6 +80,12 @@ manifest-smoke:
 # slack; see overhead_test.go).
 overhead-smoke:
 	PEPATAGS_OVERHEAD_SMOKE=1 $(GO) test -run TestTelemetryOverhead -v .
+
+# Byte-level artefact check: regenerate every paper artefact and
+# require the output to equal the committed results_full.txt exactly.
+# Serial and solve-bound: a few minutes on a 2-vCPU machine.
+results-check:
+	$(GO) run ./cmd/tagseval -all | diff -u results_full.txt -
 
 # Differential-testing smoke: 200 seeded scenarios through the full
 # oracle battery, manifest validated. Zero violations expected; on

@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -237,5 +238,101 @@ func TestOptimalIntegerTH2MaxThroughput(t *testing.T) {
 	}
 	if m.Throughput < lo.Throughput-1e-12 {
 		t.Fatalf("optimum %v worse than endpoint %v", m.Throughput, lo.Throughput)
+	}
+}
+
+// countingEvaluator scores t by score(t) (as W, so MinResponseTime
+// minimises it), stamps t into States and counts evaluations per t.
+func countingEvaluator(score func(t int) float64) (Evaluator, map[int]int) {
+	calls := map[int]int{}
+	return func(t int) (core.Measures, error) {
+		calls[t]++
+		return core.Measures{States: t, W: score(t)}, nil
+	}, calls
+}
+
+// TestOptimalIntegerTEvaluatesEachTOnce pins the searches to one solve
+// per t: the returned measures are those of the winning evaluation,
+// not of a repeated solve, and the tie rule matches numeric.IntArgMin
+// (strict <, the first of tied minima wins, lo when nothing is below
+// +Inf).
+func TestOptimalIntegerTEvaluatesEachTOnce(t *testing.T) {
+	const lo, hi = 3, 40
+	scores := map[string]func(int) float64{
+		"valley":  func(t int) float64 { return math.Abs(float64(t) - 17.4) },
+		"tied":    func(t int) float64 { return math.Max(math.Abs(float64(t)-20)-3, 0) },
+		"at-lo":   func(t int) float64 { return float64(t) },
+		"at-hi":   func(t int) float64 { return -float64(t) },
+		"all-inf": func(int) float64 { return math.Inf(1) },
+		"inf-then": func(t int) float64 {
+			if t < 10 {
+				return math.Inf(1)
+			}
+			return 1
+		},
+	}
+	for name, score := range scores {
+		want := numeric.IntArgMin(score, lo, hi)
+
+		eval, calls := countingEvaluator(score)
+		got, m, err := OptimalIntegerT(eval, MinResponseTime, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || m.States != got {
+			t.Fatalf("%s: t=%d with measures of t=%d, want %d", name, got, m.States, want)
+		}
+		if len(calls) != hi-lo+1 {
+			t.Fatalf("%s: evaluated %d distinct t, want %d", name, len(calls), hi-lo+1)
+		}
+		for tt, n := range calls {
+			if n != 1 {
+				t.Fatalf("%s: t=%d evaluated %d times", name, tt, n)
+			}
+		}
+
+		for _, step := range []int{4, 7} {
+			eval, calls := countingEvaluator(score)
+			got, m, err := OptimalIntegerTCoarse(eval, MinResponseTime, lo, hi, step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.States != got {
+				t.Fatalf("%s step %d: t=%d with measures of t=%d", name, step, got, m.States)
+			}
+			// With a single strict minimum the coarse search must land
+			// where the exhaustive one does.
+			strict := name == "valley" || name == "at-lo" || name == "at-hi"
+			if strict && got != want {
+				t.Fatalf("%s: step-%d coarse t=%d, want %d", name, step, got, want)
+			}
+			for tt, n := range calls {
+				if n != 1 {
+					t.Fatalf("%s step %d: t=%d evaluated %d times", name, step, tt, n)
+				}
+			}
+		}
+	}
+}
+
+// TestOptimalIntegerTPropagatesEvalError checks that an evaluation
+// error ends both searches with that error.
+func TestOptimalIntegerTPropagatesEvalError(t *testing.T) {
+	boom := errors.New("boom")
+	eval := func(t int) (core.Measures, error) {
+		if t == 9 {
+			return core.Measures{}, boom
+		}
+		return core.Measures{W: float64(t)}, nil
+	}
+	if _, _, err := OptimalIntegerT(eval, MinResponseTime, 1, 20); !errors.Is(err, boom) {
+		t.Fatalf("exact: err = %v", err)
+	}
+	// From lo=1 with step 4 the coarse pass reaches t=9; from lo=8 with
+	// step 2 only the refinement around t=8 does.
+	for _, c := range []struct{ lo, step int }{{1, 4}, {8, 2}} {
+		if _, _, err := OptimalIntegerTCoarse(eval, MinResponseTime, c.lo, 20, c.step); !errors.Is(err, boom) {
+			t.Fatalf("coarse lo=%d step=%d: err = %v", c.lo, c.step, err)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package approx
 
 import (
+	"math"
+
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
-	"pepatags/internal/numeric"
 )
 
 // Exact optimisers: sweep the full CTMC model rather than the
@@ -49,78 +50,51 @@ func H2Evaluator(lambda float64, service dist.HyperExp, n, k1, k2 int) Evaluator
 }
 
 // OptimalIntegerT finds the integer timer rate t in [lo, hi] minimising
-// the metric under the given evaluator.
+// the metric under the given evaluator. Each t is evaluated once; it
+// is the coarse search with step 1, whose refinement pass is empty.
 func OptimalIntegerT(eval Evaluator, metric Metric, lo, hi int) (int, core.Measures, error) {
-	var firstErr error
-	best := numeric.IntArgMin(func(t int) float64 {
-		r, err := eval(t)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return 1e300
-		}
-		return metric.scoreMeasures(r)
-	}, lo, hi)
-	if firstErr != nil {
-		return 0, core.Measures{}, firstErr
-	}
-	r, err := eval(best)
-	return best, r, err
+	return OptimalIntegerTCoarse(eval, metric, lo, hi, 1)
 }
 
 // OptimalIntegerTCoarse performs a coarse integer sweep with the given
 // step followed by a +-(step-1) refinement, cutting the number of
-// (expensive) solves roughly by the step factor.
+// (expensive) solves roughly by the step factor. Each t is evaluated
+// at most once: the measures of the best t so far are kept rather than
+// solved again at the end. Like numeric.IntArgMin the search starts at
+// lo with score +Inf and moves only on a strictly smaller score, so the
+// first of tied minima wins. The first evaluation error ends it.
 func OptimalIntegerTCoarse(eval Evaluator, metric Metric, lo, hi, step int) (int, core.Measures, error) {
 	if step < 1 {
 		step = 1
 	}
-	score := func(t int) (float64, error) {
+	best, bestScore, bestM := lo, math.Inf(1), core.Measures{}
+	try := func(t int) error {
 		r, err := eval(t)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return metric.scoreMeasures(r), nil
+		if s := metric.scoreMeasures(r); s < bestScore {
+			best, bestScore, bestM = t, s, r
+		} else if t == lo {
+			bestM = r // lo stays the answer while nothing scores below +Inf
+		}
+		return nil
 	}
-	best, bestScore := lo, 1e300
-	var firstErr error
 	for t := lo; t <= hi; t += step {
-		s, err := score(t)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if s < bestScore {
-			best, bestScore = t, s
+		if err := try(t); err != nil {
+			return 0, core.Measures{}, err
 		}
 	}
-	if firstErr != nil {
-		return 0, core.Measures{}, firstErr
-	}
-	rl, rh := best-step+1, best+step-1
-	if rl < lo {
-		rl = lo
-	}
-	if rh > hi {
-		rh = hi
-	}
+	rl, rh := max(best-step+1, lo), min(best+step-1, hi)
 	for t := rl; t <= rh; t++ {
 		if (t-lo)%step == 0 {
 			continue // already scored in the coarse pass
 		}
-		s, err := score(t)
-		if err != nil {
+		if err := try(t); err != nil {
 			return 0, core.Measures{}, err
 		}
-		if s < bestScore {
-			best, bestScore = t, s
-		}
 	}
-	r, err := eval(best)
-	return best, r, err
+	return best, bestM, nil
 }
 
 // OptimalIntegerTExp finds the integer Erlang phase rate t in [lo, hi]

@@ -207,28 +207,13 @@ func (m TAGExp) Build() *ctmc.Chain {
 func (m TAGExp) stateInfo(c *ctmc.Chain) []tagExpState {
 	states := make([]tagExpState, c.NumStates())
 	for i := range states {
-		var s tagExpState
-		var sv string
-		lbl := c.Label(i)
-		if _, err := fmt.Sscanf(lbl, "Q1_%d.T1_%d|", &s.q1, &s.tm1); err != nil {
-			panic(fmt.Sprintf("core: cannot decode state label %q: %v", lbl, err))
+		s, ok := parseTagExpLabel(c.Label(i))
+		if !ok {
+			panic(fmt.Sprintf("core: cannot decode state label %q", c.Label(i)))
 		}
-		if _, err := fmt.Sscanf(lbl[indexOf(lbl, '|')+1:], "Q2_%d%1s.T2_%d", &s.q2, &sv, &s.tm2); err != nil {
-			panic(fmt.Sprintf("core: cannot decode node-2 label %q: %v", lbl, err))
-		}
-		s.sv2 = sv == "s"
 		states[i] = s
 	}
 	return states
-}
-
-func indexOf(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // Analyze solves the model and returns the paper's measures.

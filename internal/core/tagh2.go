@@ -226,13 +226,14 @@ func (m TAGH2) Build() *ctmc.Chain {
 	return c
 }
 
+// stateInfo decodes the state structure from the chain labels for
+// measure extraction.
 func (m TAGH2) stateInfo(c *ctmc.Chain) []tagH2State {
 	states := make([]tagH2State, c.NumStates())
 	for i := range states {
-		var s tagH2State
-		if _, err := fmt.Sscanf(c.Label(i), "Q1_%d.%d.T1_%d|Q2_%d.%d.T2_%d",
-			&s.q1, &s.ty1, &s.tm1, &s.q2, &s.sv2, &s.tm2); err != nil {
-			panic(fmt.Sprintf("core: cannot decode %q: %v", c.Label(i), err))
+		s, ok := parseTagH2Label(c.Label(i))
+		if !ok {
+			panic(fmt.Sprintf("core: cannot decode state label %q", c.Label(i)))
 		}
 		states[i] = s
 	}

@@ -28,6 +28,9 @@
 //   - SteadyStateGaussSeidel (+ SOR via Options.Omega): the fastest
 //     serial iteration per step; inherently sequential, so it
 //     ignores Options.Workers and serves as the serial reference.
+//     It sweeps a column operator padded to four terms per step,
+//     whose iterates equal the plain loop's bit for bit
+//     (docs/PERFORMANCE.md, "Steady-state solve kernel").
 //   - SteadyState: automatic selection — GTH below a size threshold,
 //     Gauss-Seidel above, power iteration as fallback.
 //

@@ -481,15 +481,73 @@ func SteadyStateJacobi(q *CSR, opts Options) ([]float64, error) {
 	return pi, notConverged("jacobi", finalDiff, opts.MaxIter, opts.Eps)
 }
 
+// gsOperator is the column access to a generator that the
+// Gauss-Seidel sweep reads: row j lists the off-diagonal inflows q_ij,
+// i != j, in ascending source state i, the order q.Transpose() would
+// store them in. Each row is padded with (col 0, +0.0) entries to a
+// multiple of 4, so the sweep adds four terms per step in a fixed
+// order. While pi[0] is finite a padding term is +0.0, and x + (+0.0)
+// is x for every x but -0.0, which a sum started at +0.0 never is: the
+// padded sweep reproduces the unpadded one bit for bit.
+type gsOperator struct {
+	rowPtr  []int     // len n+1; every row length is a multiple of 4
+	col     []int32   // source state i of each inflow
+	val     []float64 // rate q_ij; +0.0 for padding
+	negDiag []float64 // -q_jj
+}
+
+// newGSOperator builds the operator straight from q: one pass counts
+// the inflows of each state, a second scatters them while walking the
+// rows of q in ascending order. It fails when a state has a
+// non-negative diagonal (an absorbing state) or when the state count
+// does not fit the int32 column indices.
+func newGSOperator(q *CSR) (*gsOperator, error) {
+	n := q.Rows
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("linalg: Gauss-Seidel supports at most %d states, got %d", math.MaxInt32, n)
+	}
+	op := &gsOperator{rowPtr: make([]int, n+1), negDiag: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
+			if j := q.ColIdx[k]; j == i {
+				op.negDiag[i] = q.Val[k] // q_ii, negated below
+			} else {
+				op.rowPtr[j+1]++
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		if d := op.negDiag[j]; d >= 0 {
+			return nil, fmt.Errorf("linalg: state %d has non-negative diagonal %g (absorbing state?)", j, d)
+		}
+		op.negDiag[j] = -op.negDiag[j]
+		op.rowPtr[j+1] = op.rowPtr[j] + (op.rowPtr[j+1]+3)&^3
+	}
+	op.col = make([]int32, op.rowPtr[n])
+	op.val = make([]float64, op.rowPtr[n])
+	next := make([]int, n)
+	copy(next, op.rowPtr[:n])
+	for i := 0; i < n; i++ {
+		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
+			if j := q.ColIdx[k]; j != i {
+				op.col[next[j]] = int32(i)
+				op.val[next[j]] = q.Val[k]
+				next[j]++
+			}
+		}
+	}
+	return op, nil
+}
+
 // SteadyStateGaussSeidel computes the stationary distribution of the
 // sparse generator q by (S)SOR sweeps on pi Q = 0:
 //
 //	pi_j <- (1-w) pi_j + w * sum_{i != j} pi_i q_ij / (-q_jj)
 //
-// It requires column access, obtained from the transpose of q. Each
-// update reads components already updated in the same sweep, which is
-// what makes Gauss-Seidel converge faster than Jacobi but also makes
-// it inherently sequential; it serves as the serial reference for the
+// It reads the columns of q through a gsOperator. Each update reads
+// components already updated in the same sweep, which is what makes
+// Gauss-Seidel converge faster than Jacobi but also makes it
+// inherently sequential; it serves as the serial reference for the
 // parallel solvers and ignores Options.Workers.
 func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	opts = opts.withDefaults()
@@ -499,18 +557,11 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	}
 	start := time.Now()
 	n := q.Rows
-	qt := q.Transpose() // row j of qt holds column j of q
-	diag := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
-			if qt.ColIdx[k] == j {
-				diag[j] = qt.Val[k]
-			}
-		}
-		if diag[j] >= 0 {
-			return nil, fmt.Errorf("linalg: state %d has non-negative diagonal %g (absorbing state?)", j, diag[j])
-		}
+	op, err := newGSOperator(q)
+	if err != nil {
+		return nil, err
 	}
+	rowPtr, col, val, negDiag := op.rowPtr, op.col, op.val, op.negDiag
 	pi := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)
@@ -520,14 +571,20 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		diff = 0
 		for j := 0; j < n; j++ {
+			// The sum and the update below must keep their
+			// operation order: the iterates are pinned bit for bit.
+			// In particular the division stays a division, since
+			// multiplying by a reciprocal rounds differently.
 			var s float64
-			for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
-				i := qt.ColIdx[k]
-				if i != j {
-					s += pi[i] * qt.Val[k]
-				}
+			for k := rowPtr[j]; k < rowPtr[j+1]; k += 4 {
+				c := col[k : k+4 : k+4]
+				v := val[k : k+4 : k+4]
+				s += pi[c[0]] * v[0]
+				s += pi[c[1]] * v[1]
+				s += pi[c[2]] * v[2]
+				s += pi[c[3]] * v[3]
 			}
-			next := (1-w)*pi[j] + w*s/(-diag[j])
+			next := (1-w)*pi[j] + w*s/negDiag[j]
 			if next < 0 {
 				next = 0
 			}

@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"pepatags/internal/numeric"
@@ -304,5 +306,178 @@ func TestSolveMetrics(t *testing.T) {
 	}
 	if n := reg.Histogram("solve.seconds").Count(); n != 3 {
 		t.Fatalf("solve.seconds count = %d, want 3", n)
+	}
+}
+
+// gaussSeidelOracle is the unpadded Gauss-Seidel sweep over q's
+// transpose that the padded gsOperator kernel replaced. It is kept as
+// the differential oracle: the production solver must reproduce its
+// iterates bit for bit. It returns pi and the sweep count.
+func gaussSeidelOracle(q *CSR, opts Options) ([]float64, int, error) {
+	opts = opts.withDefaults()
+	n := q.Rows
+	qt := q.Transpose()
+	diag := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
+			if qt.ColIdx[k] == j {
+				diag[j] = qt.Val[k]
+			}
+		}
+		if diag[j] >= 0 {
+			return nil, 0, ErrNotConverged
+		}
+	}
+	pi := make([]float64, n)
+	for i := range pi {
+		pi[i] = 1 / float64(n)
+	}
+	w := opts.Omega
+	for iter := 1; iter <= opts.MaxIter; iter++ {
+		var diff float64
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
+				if i := qt.ColIdx[k]; i != j {
+					s += pi[i] * qt.Val[k]
+				}
+			}
+			next := (1-w)*pi[j] + w*s/(-diag[j])
+			if next < 0 {
+				next = 0
+			}
+			if d := math.Abs(next - pi[j]); d > diff {
+				diff = d
+			}
+			pi[j] = next
+		}
+		if iter%16 == 0 {
+			numeric.Normalize(pi)
+		}
+		if diff < opts.Eps {
+			numeric.Normalize(pi)
+			return pi, iter, nil
+		}
+	}
+	return nil, opts.MaxIter, ErrNotConverged
+}
+
+// CheckGaussSeidelMatchesOracle fails t unless SteadyStateGaussSeidel
+// returns the oracle's pi with equal Float64bits in every component,
+// after the same number of sweeps. It is exported to the external
+// test package, which builds model chains from internal/core.
+func CheckGaussSeidelMatchesOracle(t *testing.T, name string, q *CSR, opts Options) {
+	t.Helper()
+	want, wantIters, err := gaussSeidelOracle(q, opts)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	var st obsv.SolveStats
+	opts.Stats = &st
+	got, err := SteadyStateGaussSeidel(q, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if st.Iterations != wantIters {
+		t.Fatalf("%s: %d sweeps, oracle %d", name, st.Iterations, wantIters)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: pi[%d] = %v (%#x), oracle %v (%#x)", name, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// randomInflowChain returns an irreducible generator on n states whose
+// column j holds exactly inflows[j] off-diagonal entries: the ring
+// edge from j-1 (which makes the chain irreducible) plus distinct
+// random sources.
+func randomInflowChain(n int, inflows func(j int) int, next func() float64) *CSR {
+	c := NewCOO(n, n)
+	out := make([]float64, n)
+	add := func(i, j int, r float64) {
+		c.Add(i, j, r)
+		out[i] += r
+	}
+	for j := 0; j < n; j++ {
+		src := (j + n - 1) % n
+		add(src, j, 0.1+10*next())
+		used := map[int]bool{j: true, src: true}
+		for len(used) < inflows(j)+1 {
+			i := int(next() * float64(n))
+			if !used[i] {
+				used[i] = true
+				add(i, j, 0.1+10*next())
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		c.Add(i, i, -out[i])
+	}
+	return c.ToCSR()
+}
+
+// TestGaussSeidelKernelMatchesOracle pins the padded four-wide kernel
+// to the unpadded oracle on chains whose columns hold 1 to 9 inflows,
+// exact multiples of the padding width included, for plain
+// Gauss-Seidel and for SOR with w = 1.1.
+func TestGaussSeidelKernelMatchesOracle(t *testing.T) {
+	rng := uint64(2024)
+	next := func() float64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return float64(rng>>11) / float64(1<<53)
+	}
+	for _, n := range []int{10, 37, 400} {
+		for _, fixed := range []int{0, 1, 4, 8, 9} {
+			inflows := func(j int) int {
+				if fixed > 0 {
+					return fixed
+				}
+				return 1 + int(next()*9) // 1..9
+			}
+			q := randomInflowChain(n, inflows, next)
+			for _, omega := range []float64{1, 1.1} {
+				name := fmt.Sprintf("n=%d inflows=%d omega=%g", n, fixed, omega)
+				CheckGaussSeidelMatchesOracle(t, name, q, Options{Omega: omega})
+			}
+		}
+	}
+	CheckGaussSeidelMatchesOracle(t, "mm1k omega=1.1", mm1kGenerator(7, 10, 500).ToCSR(), Options{Omega: 1.1})
+}
+
+// TestGSOperatorPadding checks the operator layout: rows padded to a
+// multiple of 4 with (0, +0.0), inflows in ascending source order, and
+// the negated diagonal.
+func TestGSOperatorPadding(t *testing.T) {
+	q := mm1kGenerator(2, 3, 5).ToCSR()
+	op, err := newGSOperator(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < q.Rows; j++ {
+		lo, hi := op.rowPtr[j], op.rowPtr[j+1]
+		if (hi-lo)%4 != 0 {
+			t.Fatalf("row %d has length %d", j, hi-lo)
+		}
+		var srcs []int
+		for k := lo; k < hi; k++ {
+			if math.Float64bits(op.val[k]) == 0 {
+				if op.col[k] != 0 {
+					t.Fatalf("row %d: padding points at column %d", j, op.col[k])
+				}
+				continue
+			}
+			srcs = append(srcs, int(op.col[k]))
+			if want := q.At(int(op.col[k]), j); math.Float64bits(op.val[k]) != math.Float64bits(want) {
+				t.Fatalf("row %d: entry from %d is %v, want %v", j, op.col[k], op.val[k], want)
+			}
+		}
+		if !sort.IntsAreSorted(srcs) {
+			t.Fatalf("row %d: sources %v not ascending", j, srcs)
+		}
+		if math.Float64bits(op.negDiag[j]) != math.Float64bits(-q.At(j, j)) {
+			t.Fatalf("row %d: negDiag %v, diagonal %v", j, op.negDiag[j], q.At(j, j))
+		}
 	}
 }
