@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
+.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke results-check results-check-short conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
 
 all: build test
 
@@ -86,6 +86,11 @@ overhead-smoke:
 # Serial and solve-bound: a few minutes on a 2-vCPU machine.
 results-check:
 	$(GO) run ./cmd/tagseval -all | diff -u results_full.txt -
+
+# The PR-time form: every artefact at -short sizes must equal the
+# committed results_short.txt exactly (about 75 s on a 2-vCPU machine).
+results-check-short:
+	$(GO) run ./cmd/tagseval -all -short | diff -u results_short.txt -
 
 # Differential-testing smoke: 200 seeded scenarios through the full
 # oracle battery, manifest validated. Zero violations expected; on

@@ -330,3 +330,12 @@ func TestMeasuresFinish(t *testing.T) {
 	}
 	close(t, "W", m.W, 0.5, 1e-14)
 }
+
+func TestMultiNodeRejectsTooManyNodes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic for more than maxNodes nodes")
+		}
+	}()
+	NewTAGMultiNode(5, 10, 20, 1, make([]int, maxNodes+1))
+}

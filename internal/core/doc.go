@@ -25,4 +25,23 @@
 // Models accept solver options so large instances can use the
 // parallel derivation and iterative solvers (see internal/pepa and
 // internal/linalg).
+//
+// # State representation
+//
+// Every direct builder derives its chain through one breadth-first
+// deriver (derive.go), generic in the builder's typed state. The
+// intern key is the state struct itself — comparable, so seeing a state
+// again is a map lookup on its fields — and states are numbered in
+// order of discovery, transitions kept in order of emission. Labels
+// are rendered once per state when the derivation finishes, and only
+// for printing: nothing in this package parses a label back. Alongside
+// the labels the deriver records each state's node populations (q1
+// and q2, or one per node for TAGMultiNode) in the population table of
+// ctmc.Structure, which the chains instantiated from one skeleton
+// share exactly as they share the labels. Measures read that table
+// (analyzeTwoNode, MultiMeasures), so AnalyzeChain works on any chain
+// a cached skeleton instantiates. Callers that need the whole state —
+// the tagged-job chains' PASTA start, the fill-time passages and the
+// response mixtures — take the typed state slice the deriver returns,
+// indexed like the chain.
 package core

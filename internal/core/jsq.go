@@ -57,33 +57,24 @@ func (s jsqState) label() string {
 	return fmt.Sprintf("A%d.%d|B%d.%d", s.q1, s.t1, s.q2, s.t2)
 }
 
+func (s jsqState) population(dst []int32) []int32 {
+	return append(dst, int32(s.q1), int32(s.q2))
+}
+
 // Build derives the CTMC.
 func (m ShortestQueue) Build() *ctmc.Chain {
+	c, _ := m.derive()
+	return c
+}
+
+// derive returns the chain and its typed states, indexed like the
+// chain. The initial (empty) state is state 0.
+func (m ShortestQueue) derive() (*ctmc.Chain, []jsqState) {
 	alpha, mu1, mu2 := m.params()
 	mu := [3]float64{0, mu1, mu2}
-	b := ctmc.NewBuilder()
-	init := jsqState{}
-	b.State(init.label())
-	frontier := []jsqState{init}
-	type edge struct {
-		from, to jsqState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to jsqState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
+	d := newRateDeriver(jsqState{})
+	emit := d.emit
+	d.explore(func(s jsqState) {
 		// arriveAt emits the arrival into the given queue at rate r,
 		// branching the new job's type when it starts service at once.
 		arriveAt := func(node int, r float64) {
@@ -150,41 +141,9 @@ func (m ShortestQueue) Build() *ctmc.Chain {
 				emit(bq, mu[s.t2]*(1-alpha), ActService2)
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
-}
-
-func (m ShortestQueue) stateInfo(c *ctmc.Chain) []jsqState {
-	states := make([]jsqState, c.NumStates())
-	for i := range states {
-		var s jsqState
-		if _, err := fmt.Sscanf(c.Label(i), "A%d.%d|B%d.%d", &s.q1, &s.t1, &s.q2, &s.t2); err != nil {
-			panic(fmt.Sprintf("core: cannot decode %q: %v", c.Label(i), err))
-		}
-		states[i] = s
-	}
-	return states
+	})
+	return d.chain(), d.states
 }
 
 // Analyze solves the model.
-func (m ShortestQueue) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := m.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m ShortestQueue) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }

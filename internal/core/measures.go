@@ -1,6 +1,11 @@
 package core
 
-import "pepatags/internal/queueing"
+import (
+	"fmt"
+
+	"pepatags/internal/ctmc"
+	"pepatags/internal/queueing"
+)
 
 // Action labels shared by the models.
 const (
@@ -43,6 +48,38 @@ func (m *Measures) finish() {
 	m.Throughput = m.X1 + m.X2
 	m.Loss = m.LossArrival + m.LossTransfer
 	m.W = queueing.Little(m.L, m.Throughput)
+}
+
+// analyzeTwoNode solves a two-node chain and extracts the measures:
+// mean queue lengths and utilisations from the population table of the
+// chain's structure, rates from its action throughputs. Actions a
+// model lacks (timeouts in the baselines) contribute zero.
+func analyzeTwoNode(c *ctmc.Chain) (Measures, error) {
+	if c.Nodes() != 2 {
+		return Measures{}, fmt.Errorf("core: chain records %d node populations per state, want 2", c.Nodes())
+	}
+	pi, err := c.SteadyState()
+	if err != nil {
+		return Measures{}, err
+	}
+	queue := func(j int) func(int) float64 {
+		return func(s int) float64 { return float64(c.Population(s, j)) }
+	}
+	busy := func(j int) func(int) bool {
+		return func(s int) bool { return c.Population(s, j) > 0 }
+	}
+	out := Measures{States: c.NumStates()}
+	out.L1 = c.Expectation(pi, queue(0))
+	out.L2 = c.Expectation(pi, queue(1))
+	out.X1 = c.ActionThroughput(pi, ActService1)
+	out.X2 = c.ActionThroughput(pi, ActService2)
+	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
+	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
+	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
+	out.Util1 = c.Probability(pi, busy(0))
+	out.Util2 = c.Probability(pi, busy(1))
+	out.finish()
+	return out, nil
 }
 
 // System is any allocation model that can be solved for its stationary

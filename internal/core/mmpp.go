@@ -75,31 +75,11 @@ func (s tagMMPPState) label() string {
 // arrival phases).
 func (m TAGExpMMPP) Build() *ctmc.Chain {
 	top := m.N - 1
-	b := ctmc.NewBuilder()
-	init := tagMMPPState{tagExpState: tagExpState{tm1: top, tm2: top}}
-	frontier := []tagMMPPState{init}
-	b.State(init.label())
-	type edge struct {
-		from, to tagMMPPState
-		rate     float64
-		action   string
-	}
-	var edges []edge
+	d := newRateDeriver(tagMMPPState{tagExpState: tagExpState{tm1: top, tm2: top}})
+	emit := d.emit
 	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
 	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to tagMMPPState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
+	d.explore(func(s tagMMPPState) {
 
 		// Phase flip.
 		flip := s
@@ -159,48 +139,12 @@ func (m TAGExpMMPP) Build() *ctmc.Chain {
 				emit(to, m.Mu, ActService2)
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	})
+	return d.chain()
 }
 
 // Analyze solves the model.
-func (m TAGExpMMPP) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]tagMMPPState, c.NumStates())
-	for i := range states {
-		var s tagMMPPState
-		var sv string
-		lbl := c.Label(i)
-		if _, err := fmt.Sscanf(lbl, "P%d|Q1_%d.T1_%d|", &s.phase, &s.q1, &s.tm1); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", lbl, err)
-		}
-		tail := lbl[lastIndexOf(lbl, '|')+1:]
-		if _, err := fmt.Sscanf(tail, "Q2_%d%1s.T2_%d", &s.q2, &sv, &s.tm2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", lbl, err)
-		}
-		s.sv2 = sv == "s"
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGExpMMPP) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }
 
 // ShortestQueueMMPP is the JSQ baseline under the same MMPP-2
 // arrivals, for like-for-like burstiness comparisons.
@@ -217,37 +161,21 @@ type jsqMMPPState struct {
 
 func (s jsqMMPPState) label() string { return fmt.Sprintf("P%d|A%d|B%d", s.phase, s.q1, s.q2) }
 
+func (s jsqMMPPState) population(dst []int32) []int32 {
+	return append(dst, int32(s.q1), int32(s.q2))
+}
+
 // Build derives the CTMC.
 func (m ShortestQueueMMPP) Build() *ctmc.Chain {
 	m.Arrivals.validate()
 	if m.Mu <= 0 || m.K < 1 {
 		panic("core: invalid ShortestQueueMMPP")
 	}
-	b := ctmc.NewBuilder()
-	init := jsqMMPPState{}
-	b.State(init.label())
-	frontier := []jsqMMPPState{init}
-	type edge struct {
-		from, to jsqMMPPState
-		rate     float64
-		action   string
-	}
-	var edges []edge
+	d := newRateDeriver(jsqMMPPState{})
+	emit := d.emit
 	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
 	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to jsqMMPPState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
+	d.explore(func(s jsqMMPPState) {
 		flip := s
 		flip.phase = 1 - s.phase
 		emit(flip, switches[s.phase], "switch")
@@ -284,45 +212,9 @@ func (m ShortestQueueMMPP) Build() *ctmc.Chain {
 			to.q2--
 			emit(to, m.Mu, ActService2)
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	})
+	return d.chain()
 }
 
 // Analyze solves the model.
-func (m ShortestQueueMMPP) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]jsqMMPPState, c.NumStates())
-	for i := range states {
-		var s jsqMMPPState
-		if _, err := fmt.Sscanf(c.Label(i), "P%d|A%d|B%d", &s.phase, &s.q1, &s.q2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
-
-func lastIndexOf(s string, c byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
+func (m ShortestQueueMMPP) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }

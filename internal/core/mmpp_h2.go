@@ -55,29 +55,9 @@ func (m TAGH2MMPP) Build() *ctmc.Chain {
 	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
 	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
 
-	b := ctmc.NewBuilder()
-	init := tagH2MMPPState{tagH2State: tagH2State{tm1: top, tm2: top}}
-	b.State(init.label())
-	frontier := []tagH2MMPPState{init}
-	type edge struct {
-		from, to tagH2MMPPState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to tagH2MMPPState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
+	d := newRateDeriver(tagH2MMPPState{tagH2State: tagH2State{tm1: top, tm2: top}})
+	emit := d.emit
+	d.explore(func(s tagH2MMPPState) {
 		departNode1 := func(base tagH2MMPPState, rate float64, action string) {
 			base.q1 = s.q1 - 1
 			base.tm1 = top
@@ -161,39 +141,9 @@ func (m TAGH2MMPP) Build() *ctmc.Chain {
 				emit(to, mu[s.sv2], ActService2)
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	})
+	return d.chain()
 }
 
 // Analyze solves the model.
-func (m TAGH2MMPP) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]tagH2MMPPState, c.NumStates())
-	for i := range states {
-		var s tagH2MMPPState
-		if _, err := fmt.Sscanf(c.Label(i), "P%d|Q1_%d.%d.T1_%d|Q2_%d.%d.T2_%d",
-			&s.phase, &s.q1, &s.ty1, &s.tm1, &s.q2, &s.sv2, &s.tm2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGH2MMPP) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }

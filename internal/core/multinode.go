@@ -34,9 +34,17 @@ func NewTAGMultiNode(lambda, mu, t float64, n int, k []int) TAGMultiNode {
 	return m
 }
 
+// maxNodes bounds the node count of TAGMultiNode, so its state is a
+// fixed-size comparable array. Even at one phase and capacity 1, an
+// M-node chain has (M+1)! states: 3.6 million at M = 9.
+const maxNodes = 8
+
 func (m TAGMultiNode) validate() {
 	if m.Lambda <= 0 || m.Mu <= 0 || m.T <= 0 || m.N < 1 || len(m.K) < 2 {
 		panic(fmt.Sprintf("core: invalid TAGMultiNode parameters %+v", m))
+	}
+	if len(m.K) > maxNodes {
+		panic(fmt.Sprintf("core: TAGMultiNode supports at most %d nodes, got %d", maxNodes, len(m.K)))
 	}
 	for _, k := range m.K {
 		if k < 1 {
@@ -54,11 +62,15 @@ type nodeState struct {
 	phase int
 }
 
-type multiState []nodeState
+// multiState is the joint state of the first n nodes.
+type multiState struct {
+	n    int
+	node [maxNodes]nodeState
+}
 
 func (s multiState) label() string {
-	out := make([]byte, 0, len(s)*8)
-	for i, n := range s {
+	out := make([]byte, 0, s.n*8)
+	for i, n := range s.node[:s.n] {
 		if i > 0 {
 			out = append(out, '|')
 		}
@@ -67,10 +79,11 @@ func (s multiState) label() string {
 	return string(out)
 }
 
-func (s multiState) clone() multiState {
-	c := make(multiState, len(s))
-	copy(c, s)
-	return c
+func (s multiState) population(dst []int32) []int32 {
+	for _, n := range s.node[:s.n] {
+		dst = append(dst, int32(n.q))
+	}
+	return dst
 }
 
 // repeatPhases is the length of node j's repeat Erlang.
@@ -90,39 +103,20 @@ func (m TAGMultiNode) freshHead(j int) (stage, phase int) {
 func (m TAGMultiNode) Build() *ctmc.Chain {
 	m.validate()
 	nodes := len(m.K)
-	b := ctmc.NewBuilder()
-	init := make(multiState, nodes)
-	for j := range init {
+	init := multiState{n: nodes}
+	for j := 0; j < nodes; j++ {
 		st, ph := m.freshHead(j)
-		init[j] = nodeState{q: 0, stage: st, phase: ph}
+		init.node[j] = nodeState{q: 0, stage: st, phase: ph}
 	}
-	b.State(init.label())
-	frontier := []multiState{init}
-	type edge struct {
-		from, to string
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from := s.label()
-		emit := func(to multiState, rate float64, action string) {
-			l := to.label()
-			if !b.HasState(l) {
-				b.State(l)
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: from, to: l, rate: rate, action: action})
-		}
+	d := newRateDeriver(init)
+	emit := d.emit
+	d.explore(func(s multiState) {
 		// push moves a job into node j (or drops it when full).
 		push := func(to multiState, j int, rate float64, action, lossAction string) {
-			if to[j].q < m.K[j] {
-				to[j].q++
-				if to[j].q == 1 {
-					st, ph := m.freshHead(j)
-					to[j].stage, to[j].phase = st, ph
+			if to.node[j].q < m.K[j] {
+				to.node[j].q++
+				if to.node[j].q == 1 {
+					to.node[j].stage, to.node[j].phase = m.freshHead(j)
 				}
 				emit(to, rate, action)
 			} else {
@@ -131,53 +125,48 @@ func (m TAGMultiNode) Build() *ctmc.Chain {
 		}
 
 		// External arrivals at node 0.
-		push(s.clone(), 0, m.Lambda, ActArrival, ActLossArrival)
+		push(s, 0, m.Lambda, ActArrival, ActLossArrival)
 
 		for j := 0; j < nodes; j++ {
-			if s[j].q == 0 {
+			if s.node[j].q == 0 {
 				continue
 			}
 			last := j == nodes-1
-			if s[j].stage == 0 {
+			if s.node[j].stage == 0 {
 				// Repeat period.
-				to := s.clone()
-				if s[j].phase > 0 {
-					to[j].phase--
+				to := s
+				if s.node[j].phase > 0 {
+					to.node[j].phase--
 					emit(to, m.T, fmt.Sprintf("repeat%d", j))
 				} else {
-					to[j].stage = 1
-					to[j].phase = m.N - 1
+					to.node[j].stage = 1
+					to.node[j].phase = m.N - 1
 					emit(to, m.T, fmt.Sprintf("beginservice%d", j))
 				}
 				continue
 			}
 			// Racing stage: service always enabled. The head is reset
 			// even when the queue empties so the idle state is canonical.
-			done := s.clone()
-			done[j].q--
-			st, ph := m.freshHead(j)
-			done[j].stage, done[j].phase = st, ph
+			done := s
+			done.node[j].q--
+			done.node[j].stage, done.node[j].phase = m.freshHead(j)
 			emit(done, m.Mu, fmt.Sprintf("service%d", j))
 			if !last {
-				if s[j].phase > 0 {
-					to := s.clone()
-					to[j].phase--
+				if s.node[j].phase > 0 {
+					to := s
+					to.node[j].phase--
 					emit(to, m.T, fmt.Sprintf("tick%d", j))
 				} else {
 					// Timeout: kill and restart at node j+1.
-					to := s.clone()
-					to[j].q--
-					st, ph := m.freshHead(j)
-					to[j].stage, to[j].phase = st, ph
+					to := s
+					to.node[j].q--
+					to.node[j].stage, to.node[j].phase = m.freshHead(j)
 					push(to, j+1, m.T, fmt.Sprintf("transfer%d", j), ActLossTransfer)
 				}
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from), b.State(e.to), e.rate, e.action)
-	}
-	return b.Build()
+	})
+	return d.chain()
 }
 
 // MultiMeasures are the stationary measures of the multi-node system.
@@ -198,35 +187,10 @@ func (m TAGMultiNode) Analyze() (MultiMeasures, error) {
 		return MultiMeasures{}, err
 	}
 	nodes := len(m.K)
-	// Decode queue lengths from labels.
-	qs := make([][]int, c.NumStates())
-	for i := range qs {
-		lbl := c.Label(i)
-		qs[i] = make([]int, nodes)
-		part := 0
-		val := 0
-		field := 0
-		for k := 0; k <= len(lbl); k++ {
-			if k == len(lbl) || lbl[k] == '|' {
-				part++
-				field, val = 0, 0
-				continue
-			}
-			if lbl[k] == '.' {
-				if field == 0 {
-					qs[i][part] = val
-				}
-				field++
-				val = 0
-				continue
-			}
-			val = val*10 + int(lbl[k]-'0')
-		}
-	}
 	out := MultiMeasures{States: c.NumStates(), L: make([]float64, nodes)}
 	var acc numeric.Accumulator
 	for j := 0; j < nodes; j++ {
-		out.L[j] = c.Expectation(pi, func(s int) float64 { return float64(qs[s][j]) })
+		out.L[j] = c.Expectation(pi, func(s int) float64 { return float64(c.Population(s, j)) })
 		acc.Add(out.L[j])
 		out.Throughput += c.ActionThroughput(pi, fmt.Sprintf("service%d", j))
 	}

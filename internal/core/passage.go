@@ -11,12 +11,9 @@ import "fmt"
 // ExpectedFillTimes returns the expected time, starting from the empty
 // system, until node 1 first fills and until node 2 first fills.
 func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
-	c := m.Build()
-	states := m.stateInfo(c)
-	init, ok := c.StateIndex(tagExpState{q1: 0, tm1: m.phases() - 1, q2: 0, sv2: false, tm2: m.phases() - 1}.label())
-	if !ok {
-		return 0, 0, fmt.Errorf("core: initial state not found")
-	}
+	sk, states := m.derive()
+	c := sk.chain(m.RateValues())
+	const init = 0 // derivation starts from the empty system
 	h1, err := c.ExpectedHittingTimes(func(s int) bool { return states[s].q1 >= m.K1 })
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: node-1 fill time: %w", err)
@@ -33,12 +30,8 @@ func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
 // precondition under JSQ is both queues full; "either full" is
 // reported for symmetry with TAG and "both full" as the loss event).
 func (m ShortestQueue) ExpectedFillTime() (eitherFull, bothFull float64, err error) {
-	c := m.Build()
-	states := m.stateInfo(c)
-	init, ok := c.StateIndex(jsqState{}.label())
-	if !ok {
-		return 0, 0, fmt.Errorf("core: initial state not found")
-	}
+	c, states := m.derive()
+	const init = 0 // derivation starts from the empty system
 	he, err := c.ExpectedHittingTimes(func(s int) bool {
 		return states[s].q1 >= m.K || states[s].q2 >= m.K
 	})

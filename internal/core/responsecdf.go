@@ -87,12 +87,11 @@ func (m ShortestQueue) ResponseDistribution() (*ResponseDistribution, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
 	}
-	c := m.Build()
+	c, states := m.derive()
 	pi, err := c.SteadyState()
 	if err != nil {
 		return nil, err
 	}
-	states := m.stateInfo(c)
 	mix := &responseMixture{mu: e.Mu, weights: map[int]float64{}}
 	var admitted float64
 	for i, st := range states {
@@ -159,23 +158,15 @@ func (m RoundRobinAlloc) ResponseDistribution() (*ResponseDistribution, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
 	}
-	c := m.Build()
+	c, states := m.derive()
 	pi, err := c.SteadyState()
 	if err != nil {
 		return nil, err
 	}
 	mix := &responseMixture{mu: e.Mu, weights: map[int]float64{}}
 	var admitted float64
-	for i := 0; i < c.NumStates(); i++ {
-		var s rrState
-		if _, err := fmt.Sscanf(c.Label(i), "N%d|A%d.%d|B%d.%d",
-			&s.next, &s.q1, &s.t1, &s.q2, &s.t2); err != nil {
-			return nil, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		q := s.q1
-		if s.next == 1 {
-			q = s.q2
-		}
+	for i, s := range states {
+		q := s.queue()
 		if q >= m.K {
 			continue // the designated queue is full: arrival lost
 		}

@@ -54,40 +54,34 @@ func (s rrState) label() string {
 	return fmt.Sprintf("N%d|A%d.%d|B%d.%d", s.next, s.q1, s.t1, s.q2, s.t2)
 }
 
+// queue returns the length of the queue the next arrival goes to.
+func (s rrState) queue() int {
+	if s.next == 1 {
+		return s.q2
+	}
+	return s.q1
+}
+
+func (s rrState) population(dst []int32) []int32 {
+	return append(dst, int32(s.q1), int32(s.q2))
+}
+
 // Build derives the CTMC.
 func (m RoundRobinAlloc) Build() *ctmc.Chain {
+	c, _ := m.derive()
+	return c
+}
+
+// derive returns the chain and its typed states, indexed like the
+// chain.
+func (m RoundRobinAlloc) derive() (*ctmc.Chain, []rrState) {
 	alpha, mu1, mu2 := m.params()
 	mu := [3]float64{0, mu1, mu2}
-	b := ctmc.NewBuilder()
-	init := rrState{}
-	b.State(init.label())
-	frontier := []rrState{init}
-	type edge struct {
-		from, to rrState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to rrState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
+	d := newRateDeriver(rrState{})
+	emit := d.emit
+	d.explore(func(s rrState) {
 		// Arrival to the designated queue; the pointer advances either way.
-		q, ty := s.q1, s.t1
-		if s.next == 1 {
-			q, ty = s.q2, s.t2
-		}
-		_ = ty
-		if q >= m.K {
+		if s.queue() >= m.K {
 			to := s
 			to.next = 1 - s.next
 			emit(to, m.Lambda, ActLossArrival)
@@ -143,37 +137,9 @@ func (m RoundRobinAlloc) Build() *ctmc.Chain {
 				emit(bq, mu[s.t2]*(1-alpha), ActService2)
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	})
+	return d.chain(), d.states
 }
 
 // Analyze solves the model.
-func (m RoundRobinAlloc) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]rrState, c.NumStates())
-	for i := range states {
-		var s rrState
-		if _, err := fmt.Sscanf(c.Label(i), "N%d|A%d.%d|B%d.%d",
-			&s.next, &s.q1, &s.t1, &s.q2, &s.t2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m RoundRobinAlloc) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }

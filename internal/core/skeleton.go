@@ -160,9 +160,10 @@ type SymEdge struct {
 }
 
 // Skeleton is the derived structure shared by every instance of one
-// Shape: state labels in derivation (BFS) order and symbolic
-// transitions in emission order. A Skeleton is immutable after
-// construction and safe for concurrent Instantiate calls.
+// Shape: the state table (labels and node populations) in derivation
+// (BFS) order and symbolic transitions in emission order. A Skeleton
+// is immutable after construction and safe for concurrent Instantiate
+// calls.
 type Skeleton struct {
 	Shape     Shape
 	Edges     []SymEdge
@@ -200,35 +201,42 @@ func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
 	return sk.structure.Chain(trs), nil
 }
 
-// skeletonBuilder accumulates states and symbolic edges during the BFS
-// derivations in tagexp.go / tagh2.go.
-type skeletonBuilder struct {
-	labels []string
-	index  map[string]int
-	edges  []SymEdge
+// skeletonDeriver records symbolic transitions, for the TAG models
+// whose structure is derived once per shape. Edges whose coefficient
+// is exactly zero at the shape's degeneracy mask are absent.
+type skeletonDeriver[S modelState] struct {
+	deriver[S]
+	zero  uint8
+	edges []SymEdge
 }
 
-func newSkeletonBuilder() *skeletonBuilder {
-	return &skeletonBuilder{index: make(map[string]int)}
+func newSkeletonDeriver[S modelState](zero uint8, initial S) *skeletonDeriver[S] {
+	d := &skeletonDeriver[S]{deriver: newDeriver[S](), zero: zero}
+	d.visit(initial)
+	return d
 }
 
-// state interns a label, reporting whether it was new.
-func (b *skeletonBuilder) state(label string) (int, bool) {
-	if i, ok := b.index[label]; ok {
-		return i, false
+// emit records a symbolic transition from the state being expanded.
+func (d *skeletonDeriver[S]) emit(to S, slot RateSlot, coeff Coeff, action string) {
+	if d.zero&(1<<coeff) != 0 {
+		return // degenerate branch probability (alpha 0 or 1)
 	}
-	i := len(b.labels)
-	b.labels = append(b.labels, label)
-	b.index[label] = i
-	return i, true
+	d.edges = append(d.edges, SymEdge{From: int32(d.from), To: int32(d.visit(to)), Slot: slot, Coeff: coeff, Action: action})
 }
 
-func (b *skeletonBuilder) edge(from, to int, slot RateSlot, coeff Coeff, action string) {
-	b.edges = append(b.edges, SymEdge{From: int32(from), To: int32(to), Slot: slot, Coeff: coeff, Action: action})
+// skeleton finishes the derivation.
+func (d *skeletonDeriver[S]) skeleton(shape Shape) *Skeleton {
+	return &Skeleton{Shape: shape, Edges: d.edges, structure: d.structure()}
 }
 
-func (b *skeletonBuilder) finish(shape Shape) *Skeleton {
-	return &Skeleton{Shape: shape, Edges: b.edges, structure: ctmc.NewStructure(b.labels)}
+// chain instantiates sk at v. The models vet their rates on
+// construction, so an error here is a bug.
+func (sk *Skeleton) chain(v RateValues) *ctmc.Chain {
+	c, err := sk.Instantiate(v)
+	if err != nil {
+		panic("core: " + err.Error())
+	}
+	return c
 }
 
 // SkeletonModel is a model whose CTMC can be derived once per shape and

@@ -89,6 +89,10 @@ func (s tagExpState) label() string {
 	return fmt.Sprintf("Q1_%d.T1_%d|Q2_%d%s.T2_%d", s.q1, s.tm1, s.q2, sv, s.tm2)
 }
 
+func (s tagExpState) population(dst []int32) []int32 {
+	return append(dst, int32(s.q1), int32(s.q2))
+}
+
 // Shape returns the canonical model structure: everything that
 // determines the reachable state space, with the rates abstracted away.
 func (m TAGExp) Shape() Shape {
@@ -108,22 +112,19 @@ func (m TAGExp) RateValues() RateValues {
 // this instance's rates, so the derivation cost can be paid once per
 // shape and shared across parameter points.
 func (m TAGExp) Skeleton() *Skeleton {
+	sk, _ := m.derive()
+	return sk
+}
+
+// derive returns the skeleton and its typed states, indexed like the
+// skeleton's state table. The initial (empty) state is state 0.
+func (m TAGExp) derive() (*Skeleton, []tagExpState) {
 	m.validate()
 	top := m.phases() - 1 // timer reset value
-	b := newSkeletonBuilder()
-	init := tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top}
-	frontier := []tagExpState{init}
-	b.state(init.label())
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from, _ := b.state(s.label())
+	d := newSkeletonDeriver(0, tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top})
+	d.explore(func(s tagExpState) {
 		emit := func(to tagExpState, slot RateSlot, action string) {
-			i, fresh := b.state(to.label())
-			if fresh {
-				frontier = append(frontier, to)
-			}
-			b.edge(from, i, slot, CoeffOne, action)
+			d.emit(to, slot, CoeffOne, action)
 		}
 
 		// --- Node 1 ---
@@ -188,33 +189,13 @@ func (m TAGExp) Skeleton() *Skeleton {
 				emit(to, SlotMu, ActService2)
 			}
 		}
-	}
-	return b.finish(m.Shape())
+	})
+	return d.skeleton(m.Shape()), d.states
 }
 
 // Build derives the reachable CTMC: the skeleton instantiated with this
 // instance's rates.
-func (m TAGExp) Build() *ctmc.Chain {
-	c, err := m.Skeleton().Instantiate(m.RateValues())
-	if err != nil {
-		panic("core: " + err.Error()) // unreachable: validate vetted the rates
-	}
-	return c
-}
-
-// stateInfo decodes the state structure from the chain labels for
-// measure extraction.
-func (m TAGExp) stateInfo(c *ctmc.Chain) []tagExpState {
-	states := make([]tagExpState, c.NumStates())
-	for i := range states {
-		s, ok := parseTagExpLabel(c.Label(i))
-		if !ok {
-			panic(fmt.Sprintf("core: cannot decode state label %q", c.Label(i)))
-		}
-		states[i] = s
-	}
-	return states
-}
+func (m TAGExp) Build() *ctmc.Chain { return m.Skeleton().chain(m.RateValues()) }
 
 // Analyze solves the model and returns the paper's measures.
 func (m TAGExp) Analyze() (Measures, error) {
@@ -224,22 +205,4 @@ func (m TAGExp) Analyze() (Measures, error) {
 // AnalyzeChain solves a chain built for exactly this model instance —
 // by Build, or by a cached skeleton instantiated at this instance's
 // rates — and extracts the paper's measures from it.
-func (m TAGExp) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := m.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGExp) AnalyzeChain(c *ctmc.Chain) (Measures, error) { return analyzeTwoNode(c) }

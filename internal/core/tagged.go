@@ -66,6 +66,10 @@ func (s taggedState) label() string {
 	}
 }
 
+// population records nothing: tagged-job measures are absorption
+// statistics, not node populations.
+func (s taggedState) population(dst []int32) []int32 { return dst }
+
 // TaggedResponse is the computed absorbing chain plus its initial
 // distribution.
 type TaggedResponse struct {
@@ -85,67 +89,30 @@ func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
 	}
 	top := m.phases() - 1
 
-	b := ctmc.NewBuilder()
-	done := b.State(taggedState{loc: 2}.label())
-	lost := b.State(taggedState{loc: 3}.label())
-
-	var frontier []taggedState
-	visit := func(s taggedState) int {
-		l := s.label()
-		if b.HasState(l) {
-			return b.State(l)
-		}
-		i := b.State(l)
-		if s.loc == 0 || s.loc == 1 {
-			frontier = append(frontier, s)
-		}
-		return i
-	}
-
 	// Initial distribution by PASTA over the stationary system state.
-	sys := m.Build()
-	pi, err := sys.SteadyState()
+	sk, sysStates := m.derive()
+	pi, err := sk.chain(m.RateValues()).SteadyState()
 	if err != nil {
 		return nil, err
 	}
-	sysStates := m.stateInfo(sys)
-	var admitted float64
-	initWeights := map[string]float64{}
-	var initStates []taggedState
+	d := newRateDeriver(taggedState{loc: 2}, taggedState{loc: 3}) // done, lost
+	var pasta taggedInit
 	for i, st := range sysStates {
 		if st.q1 >= m.K1 {
 			continue // tagged arrival would be dropped; not admitted
 		}
-		admitted += pi[i]
 		ts := taggedState{loc: 0, pos1: st.q1 + 1, tm1: st.tm1, q2: st.q2, sv2: st.sv2, tm2: st.tm2}
 		if st.q1 == 0 {
 			ts.tm1 = top // service starts fresh (the timer idles at top)
 		}
-		if _, seen := initWeights[ts.label()]; !seen {
-			initStates = append(initStates, ts)
-		}
-		initWeights[ts.label()] += pi[i]
+		pasta.add(d.visit(ts), pi[i])
 	}
-	if admitted <= 0 {
+	if pasta.admitted <= 0 {
 		return nil, fmt.Errorf("core: no admitting states")
 	}
-	for _, ts := range initStates {
-		visit(ts)
-	}
 
-	type edge struct {
-		from, to int
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from := b.State(s.label())
-		emit := func(to taggedState, rate float64, action string) {
-			edges = append(edges, edge{from: from, to: visit(to), rate: rate, action: action})
-		}
+	emit := d.emit
+	d.explore(func(s taggedState) {
 		switch s.loc {
 		case 0: // tagged at node 1
 			// Head-of-line service (the tagged job itself when pos1 == 1).
@@ -247,21 +214,34 @@ func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
 				}
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(e.from, e.to, e.rate, e.action)
-	}
-	chain := b.Build()
+	})
+	return pasta.solve(d.chain())
+}
 
+// taggedInit accumulates the PASTA initial distribution of a tagged-job
+// chain: the stationary mass of each admitting system state, on the
+// tagged state it starts the job in.
+type taggedInit struct {
+	weight   []float64 // by tagged state index
+	admitted float64
+}
+
+func (p *taggedInit) add(state int, mass float64) {
+	p.admitted += mass
+	for len(p.weight) <= state {
+		p.weight = append(p.weight, 0)
+	}
+	p.weight[state] += mass
+}
+
+// solve computes the absorption statistics of a tagged-job chain whose
+// states 0 and 1 are the absorbing done and lost states.
+func (p *taggedInit) solve(chain *ctmc.Chain) (*TaggedResponse, error) {
+	const done, lost = 0, 1
 	init := make([]float64, chain.NumStates())
-	for l, w := range initWeights {
-		i, ok := chain.StateIndex(l)
-		if !ok {
-			return nil, fmt.Errorf("core: initial state %s missing", l)
-		}
-		init[i] = w / admitted
+	for i, w := range p.weight {
+		init[i] = w / p.admitted
 	}
-
 	probs, times, err := chain.ConditionalHittingTimes(
 		func(s int) bool { return s == done },
 		func(s int) bool { return s == lost },
@@ -270,14 +250,14 @@ func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
 		return nil, err
 	}
 	tr := &TaggedResponse{chain: chain, init: init, doneIdx: done, lostIdx: lost}
-	var p, g numeric.Accumulator
+	var sp, g numeric.Accumulator
 	for i, w := range init {
 		if w > 0 {
-			p.Add(w * probs[i])
+			sp.Add(w * probs[i])
 			g.Add(w * probs[i] * times[i])
 		}
 	}
-	tr.successProb = p.Sum()
+	tr.successProb = sp.Sum()
 	if tr.successProb > 0 {
 		tr.meanCond = g.Sum() / tr.successProb
 	}

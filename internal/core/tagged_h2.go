@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"pepatags/internal/ctmc"
-	"pepatags/internal/numeric"
-)
+import "fmt"
 
 // Tagged-job analysis for the hyper-exponential model: the response
 // time of an admitted job *conditioned on its own branch* (short or
@@ -46,6 +41,8 @@ func (s taggedH2State) label() string {
 	}
 }
 
+func (s taggedH2State) population(dst []int32) []int32 { return dst }
+
 // TaggedJob builds and solves the absorbing chain for a tagged job of
 // the given branch (1 = short, 2 = long).
 func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
@@ -58,71 +55,32 @@ func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
 	mu := [3]float64{0, m.Service.Mu[0], m.Service.Mu[1]}
 	ap := m.AlphaPrime()
 
-	b := ctmc.NewBuilder()
-	done := b.State(taggedH2State{loc: 2}.label())
-	lost := b.State(taggedH2State{loc: 3}.label())
-
-	var frontier []taggedH2State
-	visit := func(s taggedH2State) int {
-		l := s.label()
-		if b.HasState(l) {
-			return b.State(l)
-		}
-		i := b.State(l)
-		if s.loc == 0 || s.loc == 1 {
-			frontier = append(frontier, s)
-		}
-		return i
-	}
-
 	// PASTA initial distribution.
-	sys := m.Build()
-	pi, err := sys.SteadyState()
+	sk, sysStates := m.derive()
+	pi, err := sk.chain(m.RateValues()).SteadyState()
 	if err != nil {
 		return nil, err
 	}
-	sysStates := m.stateInfo(sys)
-	var admitted float64
-	initWeights := map[string]float64{}
-	var initStates []taggedH2State
+	d := newRateDeriver(taggedH2State{loc: 2}, taggedH2State{loc: 3}) // done, lost
+	var pasta taggedInit
 	for i, st := range sysStates {
 		if st.q1 >= m.K1 {
 			continue
 		}
-		admitted += pi[i]
 		ts := taggedH2State{loc: 0, pos1: st.q1 + 1, headTy: st.ty1, tm1: st.tm1,
 			q2: st.q2, sv2: st.sv2, tm2: st.tm2}
 		if st.q1 == 0 {
 			ts.headTy = jobType // the tagged job starts service at once
 			ts.tm1 = top
 		}
-		if _, seen := initWeights[ts.label()]; !seen {
-			initStates = append(initStates, ts)
-		}
-		initWeights[ts.label()] += pi[i]
+		pasta.add(d.visit(ts), pi[i])
 	}
-	if admitted <= 0 {
+	if pasta.admitted <= 0 {
 		return nil, fmt.Errorf("core: no admitting states")
 	}
-	for _, ts := range initStates {
-		visit(ts)
-	}
 
-	type edge struct {
-		from, to int
-		rate     float64
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from := b.State(s.label())
-		emit := func(to taggedH2State, rate float64) {
-			if rate <= 0 {
-				return
-			}
-			edges = append(edges, edge{from: from, to: visit(to), rate: rate})
-		}
+	emit := func(to taggedH2State, rate float64) { d.emit(to, rate, "move") }
+	d.explore(func(s taggedH2State) {
 		// nextHead branches the type of the job that reaches the node-1
 		// server after a departure (deterministic when it is the tagged
 		// job).
@@ -245,40 +203,8 @@ func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
 				}
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(e.from, e.to, e.rate, "move")
-	}
-	chain := b.Build()
-
-	init := make([]float64, chain.NumStates())
-	for l, w := range initWeights {
-		i, ok := chain.StateIndex(l)
-		if !ok {
-			return nil, fmt.Errorf("core: initial state %s missing", l)
-		}
-		init[i] = w / admitted
-	}
-	probs, times, err := chain.ConditionalHittingTimes(
-		func(s int) bool { return s == done },
-		func(s int) bool { return s == lost },
-	)
-	if err != nil {
-		return nil, err
-	}
-	tr := &TaggedResponse{chain: chain, init: init, doneIdx: done, lostIdx: lost}
-	var p, g numeric.Accumulator
-	for i, w := range init {
-		if w > 0 {
-			p.Add(w * probs[i])
-			g.Add(w * probs[i] * times[i])
-		}
-	}
-	tr.successProb = p.Sum()
-	if tr.successProb > 0 {
-		tr.meanCond = g.Sum() / tr.successProb
-	}
-	return tr, nil
+	})
+	return pasta.solve(d.chain())
 }
 
 // ClassResponse summarises the per-branch view of TAGH2.

@@ -71,6 +71,10 @@ func (s tagH2State) label() string {
 	return fmt.Sprintf("Q1_%d.%d.T1_%d|Q2_%d.%d.T2_%d", s.q1, s.ty1, s.tm1, s.q2, s.sv2, s.tm2)
 }
 
+func (s tagH2State) population(dst []int32) []int32 {
+	return append(dst, int32(s.q1), int32(s.q2))
+}
+
 // Shape returns the canonical model structure: everything that
 // determines the reachable state space, with the rates abstracted away.
 // For H2 service that includes the degeneracy mask of the branch
@@ -109,28 +113,18 @@ func muSlot(branch int) RateSlot {
 // mask — yields the same skeleton; Build instantiates it with this
 // instance's rates.
 func (m TAGH2) Skeleton() *Skeleton {
-	m.validate()
-	zero := m.RateValues().zeroMask()
+	sk, _ := m.derive()
+	return sk
+}
 
+// derive returns the skeleton and its typed states, indexed like the
+// skeleton's state table.
+func (m TAGH2) derive() (*Skeleton, []tagH2State) {
+	m.validate()
 	top := m.N - 1 // timer reset value (N phases at rate T)
-	b := newSkeletonBuilder()
-	init := tagH2State{q1: 0, ty1: 0, tm1: top, q2: 0, sv2: 0, tm2: top}
-	b.state(init.label())
-	frontier := []tagH2State{init}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from, _ := b.state(s.label())
-		emit := func(to tagH2State, slot RateSlot, coeff Coeff, action string) {
-			if zero&(1<<coeff) != 0 {
-				return // degenerate branch probability (alpha 0 or 1)
-			}
-			i, fresh := b.state(to.label())
-			if fresh {
-				frontier = append(frontier, to)
-			}
-			b.edge(from, i, slot, coeff, action)
-		}
+	d := newSkeletonDeriver(m.RateValues().zeroMask(), tagH2State{q1: 0, ty1: 0, tm1: top, q2: 0, sv2: 0, tm2: top})
+	emit := d.emit
+	d.explore(func(s tagH2State) {
 		// departNode1 emits the two next-head branches of a node-1
 		// departure occurring at the given slot rate.
 		departNode1 := func(base tagH2State, slot RateSlot, action string) {
@@ -212,33 +206,13 @@ func (m TAGH2) Skeleton() *Skeleton {
 				emit(to, muSlot(s.sv2), CoeffOne, ActService2)
 			}
 		}
-	}
-	return b.finish(m.Shape())
+	})
+	return d.skeleton(m.Shape()), d.states
 }
 
 // Build derives the reachable CTMC: the skeleton instantiated with this
 // instance's rates.
-func (m TAGH2) Build() *ctmc.Chain {
-	c, err := m.Skeleton().Instantiate(m.RateValues())
-	if err != nil {
-		panic("core: " + err.Error()) // unreachable: validate vetted the rates
-	}
-	return c
-}
-
-// stateInfo decodes the state structure from the chain labels for
-// measure extraction.
-func (m TAGH2) stateInfo(c *ctmc.Chain) []tagH2State {
-	states := make([]tagH2State, c.NumStates())
-	for i := range states {
-		s, ok := parseTagH2Label(c.Label(i))
-		if !ok {
-			panic(fmt.Sprintf("core: cannot decode state label %q", c.Label(i)))
-		}
-		states[i] = s
-	}
-	return states
-}
+func (m TAGH2) Build() *ctmc.Chain { return m.Skeleton().chain(m.RateValues()) }
 
 // Analyze solves the model.
 func (m TAGH2) Analyze() (Measures, error) {
@@ -248,22 +222,4 @@ func (m TAGH2) Analyze() (Measures, error) {
 // AnalyzeChain solves a chain built for exactly this model instance —
 // by Build, or by a cached skeleton instantiated at this instance's
 // rates — and extracts the paper's measures from it.
-func (m TAGH2) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := m.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGH2) AnalyzeChain(c *ctmc.Chain) (Measures, error) { return analyzeTwoNode(c) }

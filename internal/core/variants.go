@@ -45,26 +45,9 @@ func (m TAGHetero) validate() {
 func (m TAGHetero) Build() *ctmc.Chain {
 	m.validate()
 	top := m.N - 1
-	b := ctmc.NewBuilder()
-	init := tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top}
-	frontier := []tagExpState{init}
-	b.State(init.label())
-	type edge struct {
-		from, to tagExpState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to tagExpState, rate float64, action string) {
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
+	d := newRateDeriver(tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top})
+	emit := d.emit
+	d.explore(func(s tagExpState) {
 
 		// Node 1.
 		if s.q1 < m.K1 {
@@ -118,32 +101,9 @@ func (m TAGHetero) Build() *ctmc.Chain {
 				emit(to, m.Mu2, ActService2)
 			}
 		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	})
+	return d.chain()
 }
 
 // Analyze solves the model.
-func (m TAGHetero) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	// Reuse the Figure 3 label decoding.
-	states := TAGExp{Lambda: m.Lambda, Mu: m.Mu1, T: m.T1, N: m.N, K1: m.K1, K2: m.K2}.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGHetero) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }

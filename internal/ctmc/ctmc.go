@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"pepatags/internal/linalg"
 	"pepatags/internal/numeric"
@@ -18,14 +17,10 @@ type Transition struct {
 	Action   string
 }
 
-// Chain is an immutable labelled CTMC. The label→index map is built
-// lazily on first StateIndex call: producers that already know their
-// indices (pepa's coded deriver streams exact-size label and
-// transition slices through NewChain) never pay for interning.
+// Chain is an immutable labelled CTMC: a Structure (the state table,
+// possibly shared with sibling chains) plus a transition list.
 type Chain struct {
-	labels      []string
-	index       map[string]int
-	indexOnce   sync.Once
+	st          *Structure
 	transitions []Transition
 	gen         *linalg.CSR // cached generator
 }
@@ -38,15 +33,18 @@ type Chain struct {
 // rates, endpoints in range. Labels are assumed unique; the index map
 // is only materialised if StateIndex is ever called.
 func NewChain(labels []string, transitions []Transition) *Chain {
-	for _, t := range transitions {
-		if t.Rate <= 0 || math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
-			panic(fmt.Sprintf("ctmc: invalid rate %g for action %q", t.Rate, t.Action))
-		}
-		if t.From < 0 || t.From >= len(labels) || t.To < 0 || t.To >= len(labels) {
-			panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", t.From, t.To))
-		}
+	return NewStructure(labels, 0, nil).Chain(transitions)
+}
+
+// checkTransition panics unless t has a positive finite rate and both
+// endpoints among n states.
+func checkTransition(t Transition, n int) {
+	if t.Rate <= 0 || math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
+		panic(fmt.Sprintf("ctmc: invalid rate %g for action %q", t.Rate, t.Action))
 	}
-	return &Chain{labels: labels, transitions: transitions}
+	if t.From < 0 || t.From >= n || t.To < 0 || t.To >= n {
+		panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", t.From, t.To))
+	}
 }
 
 // Builder incrementally constructs a Chain.
@@ -87,58 +85,43 @@ func (b *Builder) NumStates() int { return len(b.labels) }
 // permitted at build time and dropped when the generator is formed
 // (they do not affect a CTMC's stationary behaviour).
 func (b *Builder) Transition(from, to int, rate float64, action string) {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		panic(fmt.Sprintf("ctmc: invalid rate %g for action %q", rate, action))
-	}
-	if from < 0 || from >= len(b.labels) || to < 0 || to >= len(b.labels) {
-		panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", from, to))
-	}
-	b.transitions = append(b.transitions, Transition{From: from, To: to, Rate: rate, Action: action})
+	t := Transition{From: from, To: to, Rate: rate, Action: action}
+	checkTransition(t, len(b.labels))
+	b.transitions = append(b.transitions, t)
 }
 
 // Build finalises the chain.
 func (b *Builder) Build() *Chain {
-	labels := make([]string, len(b.labels))
-	copy(labels, b.labels)
-	idx := make(map[string]int, len(b.index))
+	st := &Structure{labels: make([]string, len(b.labels)), index: make(map[string]int, len(b.index))}
+	copy(st.labels, b.labels)
 	for k, v := range b.index {
-		idx[k] = v
+		st.index[k] = v
 	}
 	trans := make([]Transition, len(b.transitions))
 	copy(trans, b.transitions)
-	return &Chain{labels: labels, index: idx, transitions: trans}
+	return &Chain{st: st, transitions: trans}
 }
 
 // NumStates returns the number of states.
-func (c *Chain) NumStates() int { return len(c.labels) }
+func (c *Chain) NumStates() int { return len(c.st.labels) }
 
 // NumTransitions returns the number of recorded transitions (including
 // self-loops).
 func (c *Chain) NumTransitions() int { return len(c.transitions) }
 
 // Label returns the label of state i.
-func (c *Chain) Label(i int) string { return c.labels[i] }
+func (c *Chain) Label(i int) string { return c.st.labels[i] }
 
 // StateIndex returns the index of the labelled state.
-func (c *Chain) StateIndex(label string) (int, bool) {
-	c.indexOnce.Do(c.buildIndex)
-	i, ok := c.index[label]
-	return i, ok
-}
+func (c *Chain) StateIndex(label string) (int, bool) { return c.st.Index(label) }
 
-// buildIndex materialises the label→index map for chains built through
-// NewChain. Builder- and Structure-built chains arrive with the map
-// already populated and keep it.
-func (c *Chain) buildIndex() {
-	if c.index != nil {
-		return
-	}
-	idx := make(map[string]int, len(c.labels))
-	for i, l := range c.labels {
-		idx[l] = i
-	}
-	c.index = idx
-}
+// Nodes returns how many node populations the chain's structure records
+// per state: 0 when its producer recorded none.
+func (c *Chain) Nodes() int { return c.st.nodes }
+
+// Population returns the number of jobs at node j in state i, read from
+// the population table of the chain's structure.
+func (c *Chain) Population(i, j int) int { return int(c.st.pops[i*c.st.nodes+j]) }
 
 // Transitions returns the transition list (shared slice; do not modify).
 func (c *Chain) Transitions() []Transition { return c.transitions }
@@ -149,7 +132,7 @@ func (c *Chain) Generator() *linalg.CSR {
 	if c.gen != nil {
 		return c.gen
 	}
-	n := len(c.labels)
+	n := c.NumStates()
 	coo := linalg.NewCOO(n, n)
 	out := make([]float64, n)
 	for _, t := range c.transitions {
@@ -168,29 +151,42 @@ func (c *Chain) Generator() *linalg.CSR {
 	return c.gen
 }
 
-// SteadyState solves pi Q = 0, sum(pi) = 1 with the automatic solver.
+// SteadyState solves pi Q = 0, sum(pi) = 1 with the automatic solver
+// cascade of SteadyStateAuto and default options.
 func (c *Chain) SteadyState() ([]float64, error) {
-	if c.NumStates() == 0 {
-		return nil, errors.New("ctmc: empty chain")
-	}
-	return linalg.SteadyState(c.Generator())
+	return c.SteadyStateAuto(linalg.Options{})
 }
 
-// SteadyStateWith solves using a specific iterative configuration.
-func (c *Chain) SteadyStateWith(opts linalg.Options) ([]float64, error) {
-	return linalg.SteadyStateGaussSeidel(c.Generator(), opts)
-}
-
-// SteadyStateAuto runs the same solver cascade as SteadyState — GTH on
-// chains up to 400 states, then Gauss-Seidel, then power iteration —
-// but threads opts through the iterative stages, so workers, stats and
-// metrics instrumentation survive the automatic choice. The GTH stage
-// is direct and reports nothing through opts.
+// SteadyStateAuto is the chain's one solve entry point: GTH on chains
+// up to 400 states, then Gauss-Seidel, then power iteration. It threads
+// opts through the iterative stages, so workers, stats and metrics
+// instrumentation survive the automatic choice; the GTH stage is
+// direct and reports nothing through opts. A generator with a
+// non-finite entry (rates whose row sums overflow) or a solution that
+// is not finite is an error, not a converged result.
 func (c *Chain) SteadyStateAuto(opts linalg.Options) ([]float64, error) {
 	if c.NumStates() == 0 {
 		return nil, errors.New("ctmc: empty chain")
 	}
 	q := c.Generator()
+	for _, v := range q.Val {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("ctmc: generator has non-finite entry %g (rates overflow)", v)
+		}
+	}
+	pi, err := steadyStateCascade(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range pi {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("ctmc: stationary probability of state %d is %g", i, p)
+		}
+	}
+	return pi, nil
+}
+
+func steadyStateCascade(q *linalg.CSR, opts linalg.Options) ([]float64, error) {
 	const denseCutoff = 400
 	if q.Rows <= denseCutoff {
 		if pi, err := linalg.SteadyStateGTH(q.ToDense()); err == nil {
@@ -291,10 +287,10 @@ func (c *Chain) CheckIrreducible() error {
 	f, bk := reach(fwd), reach(bwd)
 	for i := 0; i < n; i++ {
 		if !f[i] {
-			return fmt.Errorf("ctmc: state %d (%s) unreachable from initial state", i, c.labels[i])
+			return fmt.Errorf("ctmc: state %d (%s) unreachable from initial state", i, c.Label(i))
 		}
 		if !bk[i] {
-			return fmt.Errorf("ctmc: state %d (%s) cannot return to initial state", i, c.labels[i])
+			return fmt.Errorf("ctmc: state %d (%s) cannot return to initial state", i, c.Label(i))
 		}
 	}
 	return nil

@@ -5,7 +5,7 @@
 // stationary distribution; both the hand-built state spaces of
 // internal/core and the PEPA-derived ones of internal/pepa land here.
 //
-// Chains are constructed two ways. Builder interns state labels
+// Chains are constructed three ways. Builder interns state labels
 // (string → dense index) and collects rate-labelled transitions
 // incrementally; Build freezes the chain. NewChain is the streaming
 // counterpart for producers that number states themselves — it adopts
@@ -13,13 +13,20 @@
 // or interning; the label→index map is only materialised if
 // StateIndex is ever called. internal/pepa's integer-coded deriver
 // uses NewChain to assemble chains without a per-state interning pass.
-// Either way, Chain offers:
+// Structure.Chain instantiates one shared state table at many rate
+// points: the table holds the labels and, for internal/core's direct
+// builders, each state's node populations (Chain.Population), so
+// measures never parse a label. GenPattern likewise shares one
+// generator sparsity pattern across those siblings. Every chain
+// offers:
 //
 //   - Generator: the infinitesimal generator Q as a sparse CSR matrix
 //     (internal/linalg), rows summing to zero;
-//   - SteadyState / SteadyStateWith: πQ = 0, Σπ = 1, via the solver
-//     selection in internal/linalg (GTH for small chains, iterative
-//     methods — optionally parallel — for large ones);
+//   - SteadyStateAuto, the one solve entry point (SteadyState is the
+//     same call with default options): πQ = 0, Σπ = 1 by GTH for
+//     small chains, then Gauss-Seidel, then power iteration. A
+//     generator entry or a π component that is not finite (rates
+//     whose row sums overflow) is an error;
 //   - reward extraction: Expectation, Probability and
 //     ActionThroughput, the building blocks for the paper's mean
 //     queue lengths, loss probabilities and throughputs;

@@ -108,20 +108,21 @@ func (c *Chain) Lump(initial Partition) (Partition, *Chain, error) {
 	}
 	b := NewBuilder()
 	for bi := 0; bi < nb; bi++ {
-		b.State(fmt.Sprintf("block%d(%s)", bi, c.labels[rep[bi]]))
+		b.State(fmt.Sprintf("block%d(%s)", bi, c.Label(rep[bi])))
 	}
 	for bi := 0; bi < nb; bi++ {
-		acc := map[[2]string]float64{}
+		type target struct {
+			act string
+			to  int
+		}
+		acc := map[target]float64{}
 		for _, a := range out[rep[bi]] {
-			key := [2]string{a.act, fmt.Sprint(part[a.to])}
-			acc[key] += a.rate
+			acc[target{a.act, part[a.to]}] += a.rate
 		}
 		for key, rate := range acc {
-			var to int
-			fmt.Sscan(key[1], &to)
 			// Intra-block rates become labelled self-loops: inert for
 			// the generator, but preserving action throughput.
-			b.Transition(bi, to, rate, key[0])
+			b.Transition(bi, key.to, rate, key.act)
 		}
 	}
 	return part, b.Build(), nil

@@ -204,18 +204,14 @@ func (c *Chain) PassageTimeCDF(init []float64, target func(state int) bool, x fl
 	if len(init) != n {
 		return 0, fmt.Errorf("ctmc: init length %d != %d states", len(init), n)
 	}
-	// Build the absorbing copy: drop transitions out of target states.
-	b := NewBuilder()
-	for i := 0; i < n; i++ {
-		b.State(c.labels[i])
-	}
+	// The absorbing copy shares the state table and drops transitions
+	// out of target states.
+	abs := &Chain{st: c.st}
 	for _, t := range c.transitions {
-		if target(t.From) {
-			continue
+		if !target(t.From) {
+			abs.transitions = append(abs.transitions, t)
 		}
-		b.Transition(t.From, t.To, t.Rate, t.Action)
 	}
-	abs := b.Build()
 	pt, err := abs.Transient(init, x, 1e-12)
 	if err != nil {
 		return 0, err

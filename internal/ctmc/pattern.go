@@ -2,34 +2,38 @@ package ctmc
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync"
 
 	"pepatags/internal/linalg"
 )
 
-// Structure is an immutable state-label table shared by sibling chains
-// that have the same reachable state space but different rates — the
+// Structure is an immutable state table shared by sibling chains that
+// have the same reachable state space but different rates — the
 // product of instantiating one derived skeleton at many parameter
-// points. Sharing the table (and its label→index map) makes chain
-// instantiation O(transitions) instead of O(states) map inserts per
-// point, which is what lets a cached sweep skip the derivation cost.
+// points. It holds each state's label and, when the producer records
+// them, its node populations (jobs per node), so measures read typed
+// state straight from the table. Sharing the table makes chain
+// instantiation O(transitions) instead of O(states) per point, which
+// is what lets a cached sweep skip the derivation cost.
 type Structure struct {
 	labels []string
-	index  map[string]int
+	nodes  int     // populations per state
+	pops   []int32 // pops[i*nodes+j]: jobs at node j in state i
+
+	indexOnce sync.Once
+	index     map[string]int // label -> state, built on first Index
 }
 
-// NewStructure interns the label table. Labels must be unique; the
-// slice is retained and must not be modified afterwards.
-func NewStructure(labels []string) *Structure {
-	idx := make(map[string]int, len(labels))
-	for i, l := range labels {
-		if _, dup := idx[l]; dup {
-			panic(fmt.Sprintf("ctmc: duplicate state label %q", l))
-		}
-		idx[l] = i
+// NewStructure adopts the label table and the state-major population
+// table (nodes entries per state; nodes 0 and pops nil when there is
+// none). Labels must be unique. Both slices are retained and must not
+// be modified afterwards.
+func NewStructure(labels []string, nodes int, pops []int32) *Structure {
+	if len(pops) != nodes*len(labels) {
+		panic(fmt.Sprintf("ctmc: %d populations for %d states of %d nodes", len(pops), len(labels), nodes))
 	}
-	return &Structure{labels: labels, index: idx}
+	return &Structure{labels: labels, nodes: nodes, pops: pops}
 }
 
 // NumStates returns the number of states in the table.
@@ -38,26 +42,32 @@ func (s *Structure) NumStates() int { return len(s.labels) }
 // Label returns the label of state i.
 func (s *Structure) Label(i int) string { return s.labels[i] }
 
-// Index returns the index of the labelled state.
+// Index returns the index of the labelled state. The label map is
+// materialised on the first call; Builder-built structures arrive with
+// it populated.
 func (s *Structure) Index(label string) (int, bool) {
+	s.indexOnce.Do(func() {
+		if s.index != nil {
+			return
+		}
+		s.index = make(map[string]int, len(s.labels))
+		for i, l := range s.labels {
+			s.index[l] = i
+		}
+	})
 	i, ok := s.index[label]
 	return i, ok
 }
 
 // Chain builds a chain over this structure from a transition list. The
 // transitions are validated like Builder.Transition (positive rates,
-// indices in range); the label table is shared, not copied, so sibling
+// indices in range); the state table is shared, not copied, so sibling
 // chains are cheap. The transition slice is retained.
 func (s *Structure) Chain(transitions []Transition) *Chain {
 	for _, t := range transitions {
-		if t.Rate <= 0 || math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
-			panic(fmt.Sprintf("ctmc: invalid rate %g for action %q", t.Rate, t.Action))
-		}
-		if t.From < 0 || t.From >= len(s.labels) || t.To < 0 || t.To >= len(s.labels) {
-			panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", t.From, t.To))
-		}
+		checkTransition(t, len(s.labels))
 	}
-	return &Chain{labels: s.labels, index: s.index, transitions: transitions}
+	return &Chain{st: s, transitions: transitions}
 }
 
 // GenPattern captures how Generator assembles a chain's CSR matrix: the

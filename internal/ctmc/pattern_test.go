@@ -2,6 +2,7 @@ package ctmc
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pepatags/internal/linalg"
@@ -133,7 +134,7 @@ func TestGenPatternRejectsMismatchedStructure(t *testing.T) {
 }
 
 func TestStructureChainSharesLabels(t *testing.T) {
-	s := NewStructure([]string{"X", "Y"})
+	s := NewStructure([]string{"X", "Y"}, 2, []int32{0, 1, 3, 2})
 	c1 := s.Chain([]Transition{{From: 0, To: 1, Rate: 1, Action: "a"}, {From: 1, To: 0, Rate: 2, Action: "b"}})
 	c2 := s.Chain([]Transition{{From: 0, To: 1, Rate: 3, Action: "a"}, {From: 1, To: 0, Rate: 4, Action: "b"}})
 	if c1.Label(0) != "X" || c2.Label(1) != "Y" {
@@ -141,6 +142,12 @@ func TestStructureChainSharesLabels(t *testing.T) {
 	}
 	if i, ok := c2.StateIndex("Y"); !ok || i != 1 {
 		t.Fatalf("StateIndex(Y) = %d, %t", i, ok)
+	}
+	if c1.Nodes() != 2 || c1.Population(0, 1) != 1 || c2.Population(1, 0) != 3 {
+		t.Fatal("population table not shared correctly")
+	}
+	if NewChain([]string{"Z"}, nil).Nodes() != 0 {
+		t.Fatal("a chain without a population table must report 0 nodes")
 	}
 	pi1, err := c1.SteadyState()
 	if err != nil {
@@ -153,4 +160,26 @@ func TestStructureChainSharesLabels(t *testing.T) {
 	if pi1[0] == pi2[0] {
 		t.Fatal("expected different stationary distributions for different rates")
 	}
+}
+
+// TestStructureIndexConcurrent looks labels up through sibling chains
+// from several goroutines at once: the lazily built label map of the
+// shared structure must be built once and read safely (run with -race).
+func TestStructureIndexConcurrent(t *testing.T) {
+	labels := []string{"A", "B", "C", "D"}
+	s := NewStructure(labels, 0, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		c := s.Chain([]Transition{{From: 0, To: 1, Rate: float64(g + 1), Action: "a"}})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, l := range labels {
+				if j, ok := c.StateIndex(l); !ok || j != i {
+					t.Errorf("StateIndex(%s) = %d, %t", l, j, ok)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -31,8 +31,13 @@
 //     It sweeps a column operator padded to four terms per step,
 //     whose iterates equal the plain loop's bit for bit
 //     (docs/PERFORMANCE.md, "Steady-state solve kernel").
-//   - SteadyState: automatic selection — GTH below a size threshold,
-//     Gauss-Seidel above, power iteration as fallback.
+//
+// The automatic cascade — GTH below 400 states, Gauss-Seidel above,
+// power iteration as fallback — lives in one place, ctmc's
+// Chain.SteadyStateAuto. SteadyStateGaussSeidel rejects a non-finite
+// diagonal and does not report a non-finite π as converged: a NaN
+// never raises the successive-iterate difference, so that check runs
+// once after the sweep loop.
 //
 // Non-convergence is reported as an error wrapping ErrNotConverged
 // and carrying the achieved residual and iteration count, so callers

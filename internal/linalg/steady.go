@@ -499,8 +499,9 @@ type gsOperator struct {
 // newGSOperator builds the operator straight from q: one pass counts
 // the inflows of each state, a second scatters them while walking the
 // rows of q in ascending order. It fails when a state has a
-// non-negative diagonal (an absorbing state) or when the state count
-// does not fit the int32 column indices.
+// non-negative diagonal (an absorbing state) or a non-finite one (rates
+// whose row sum overflows), or when the state count does not fit the
+// int32 column indices.
 func newGSOperator(q *CSR) (*gsOperator, error) {
 	n := q.Rows
 	if n > math.MaxInt32 {
@@ -519,6 +520,8 @@ func newGSOperator(q *CSR) (*gsOperator, error) {
 	for j := 0; j < n; j++ {
 		if d := op.negDiag[j]; d >= 0 {
 			return nil, fmt.Errorf("linalg: state %d has non-negative diagonal %g (absorbing state?)", j, d)
+		} else if math.IsInf(d, 0) || math.IsNaN(d) {
+			return nil, fmt.Errorf("linalg: state %d has non-finite diagonal %g (rates overflow)", j, d)
 		}
 		op.negDiag[j] = -op.negDiag[j]
 		op.rowPtr[j+1] = op.rowPtr[j] + (op.rowPtr[j+1]+3)&^3
@@ -600,6 +603,14 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 		opts.tick("gauss-seidel", iter, n, diff)
 		if diff < opts.Eps {
 			numeric.Normalize(pi)
+			// A NaN component never raises diff, so the sweep can stop
+			// on one; check once here, outside the sweep loop.
+			for i, p := range pi {
+				if math.IsNaN(p) || math.IsInf(p, 0) {
+					opts.finish("gauss-seidel", start, iter, diff, false)
+					return nil, fmt.Errorf("linalg: gauss-seidel reached non-finite pi[%d] = %g", i, p)
+				}
+			}
 			opts.finish("gauss-seidel", start, iter, diff, true)
 			return pi, nil
 		}
@@ -607,23 +618,6 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	numeric.Normalize(pi)
 	opts.finish("gauss-seidel", start, opts.MaxIter, diff, false)
 	return pi, notConverged("gauss-seidel", diff, opts.MaxIter, opts.Eps)
-}
-
-// SteadyState picks a solver automatically: GTH for small systems,
-// Gauss–Seidel (with a power-method fallback) for larger sparse ones.
-func SteadyState(q *CSR) ([]float64, error) {
-	const denseCutoff = 400
-	if q.Rows <= denseCutoff {
-		pi, err := SteadyStateGTH(q.ToDense())
-		if err == nil {
-			return pi, nil
-		}
-	}
-	pi, err := SteadyStateGaussSeidel(q, Options{})
-	if err == nil {
-		return pi, nil
-	}
-	return SteadyStatePower(q, Options{})
 }
 
 // Residual returns max_j |(pi Q)_j|, a direct check that pi is

@@ -122,35 +122,6 @@ func TestSolversAgree(t *testing.T) {
 	}
 }
 
-func TestSteadyStateAutoAndResidual(t *testing.T) {
-	csr := mm1kGenerator(5, 10, 10).ToCSR()
-	pi, err := SteadyState(csr)
-	if err != nil {
-		t.Fatalf("SteadyState: %v", err)
-	}
-	if r := Residual(csr, pi); r > 1e-9 {
-		t.Fatalf("residual %g too large", r)
-	}
-	if !numeric.AlmostEqual(numeric.KahanSum(pi), 1, 1e-12) {
-		t.Fatal("pi does not sum to 1")
-	}
-}
-
-func TestSteadyStateLargerRandomWalk(t *testing.T) {
-	// A 2000-state birth-death chain exercises the iterative path of
-	// SteadyState (above the dense cutoff).
-	const k = 1999
-	csr := mm1kGenerator(3, 4, k).ToCSR()
-	pi, err := SteadyState(csr)
-	if err != nil {
-		t.Fatalf("SteadyState: %v", err)
-	}
-	want := mm1kExact(3, 4, k)
-	if d := numeric.MaxAbsDiff(pi, want); d > 1e-7 {
-		t.Fatalf("diff %g", d)
-	}
-}
-
 func TestUniformizationConstant(t *testing.T) {
 	csr := mm1kGenerator(5, 10, 3).ToCSR()
 	lam := UniformizationConstant(csr)

@@ -390,3 +390,22 @@ func TestEvalPointOptT(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsNonFinitePoint checks that a point whose rates overflow
+// the generator's row sums fails instead of yielding an all-NaN row:
+// at k1=k2=2 the solve takes the GTH stage, at k1=k2=30 Gauss-Seidel.
+func TestRunRejectsNonFinitePoint(t *testing.T) {
+	for _, k := range []int{2, 30} {
+		spec := &Spec{Schema: SpecSchema, Name: "overflow", Points: []Point{{
+			Series: "tag", Model: "tagexp", Lambda: 1e308, T: 1e308, N: 2, K1: k, K2: k,
+			Service: ServiceSpec{Kind: "exp", Mu: 1e308},
+		}}}
+		res, err := Run(spec, Options{})
+		if err == nil {
+			t.Fatalf("k=%d: got rows %v with a nil error", k, res.Rows)
+		}
+		if !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("k=%d: error %v does not name the non-finite generator", k, err)
+		}
+	}
+}
