@@ -163,3 +163,13 @@ func TestInstantiateRejectsBadRates(t *testing.T) {
 		t.Fatal("expected error for zero rate")
 	}
 }
+
+// TestAnalyzeChainNeedsPopulations checks that a chain without the
+// two-node population table (one not derived by this package) is
+// refused with an error.
+func TestAnalyzeChainNeedsPopulations(t *testing.T) {
+	c := ctmc.NewChain([]string{"A", "B"}, []ctmc.Transition{{From: 0, To: 1, Rate: 1, Action: "a"}, {From: 1, To: 0, Rate: 1, Action: "b"}})
+	if _, err := NewTAGExp(5, 10, 12, 2, 2, 2).AnalyzeChain(c); err == nil {
+		t.Fatal("expected an error for a chain without node populations")
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"pepatags/internal/linalg"
 	"pepatags/internal/numeric"
+	"pepatags/internal/obsv"
 )
 
 // buildMM1K constructs an M/M/1/K chain with arrival/service actions.
@@ -72,15 +74,47 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestSteadyStateMatchesClosedForm solves M/M/1/K chains on both
+// sides of the dense cutoff: the GTH stage, and the Gauss-Seidel stage,
+// which fills the attached stats.
 func TestSteadyStateMatchesClosedForm(t *testing.T) {
-	c := buildMM1K(5, 10, 10)
-	pi, err := c.SteadyState()
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{10, 600} {
+		c := buildMM1K(5, 10, k)
+		var st obsv.SolveStats
+		pi, err := c.SteadyStateAuto(linalg.Options{Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mm1kStationary(5, 10, k)
+		if d := numeric.MaxAbsDiff(pi, want); d > 1e-10 {
+			t.Fatalf("K=%d: diff %g", k, d)
+		}
+		if iterative := k+1 > 400; iterative != (st.Solver != "" && st.Converged) {
+			t.Fatalf("K=%d: stats %+v", k, st)
+		}
 	}
-	want := mm1kStationary(5, 10, 10)
-	if d := numeric.MaxAbsDiff(pi, want); d > 1e-10 {
-		t.Fatalf("diff %g", d)
+	if _, err := NewChain(nil, nil).SteadyState(); err == nil {
+		t.Fatal("empty chain must error")
+	}
+}
+
+// TestSteadyStateRejectsNonFinite checks the solve entry on rates near
+// the float64 range: row sums that overflow the generator, on both
+// sides of the dense cutoff, and a finite generator whose GTH back
+// substitution divides a huge rate by a tiny one. Each is an error, not
+// an all-NaN or infinite pi.
+func TestSteadyStateRejectsNonFinite(t *testing.T) {
+	for _, k := range []int{8, 1999} {
+		if pi, err := buildMM1K(1e308, 1e308, k).SteadyState(); err == nil {
+			t.Errorf("K=%d: returned %v... with a nil error", k, pi[:2])
+		}
+	}
+	c := NewChain([]string{"A", "B"}, []Transition{
+		{From: 0, To: 1, Rate: 1e308, Action: "a"},
+		{From: 1, To: 0, Rate: 1e-300, Action: "b"},
+	})
+	if pi, err := c.SteadyState(); err == nil {
+		t.Errorf("returned %v with a nil error", pi)
 	}
 }
 

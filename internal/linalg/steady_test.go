@@ -122,6 +122,32 @@ func TestSolversAgree(t *testing.T) {
 	}
 }
 
+// TestGaussSeidelRejectsNonFinite checks the two ways rates near the
+// float64 range break a Gauss-Seidel solve: a diagonal whose row sum
+// overflows, and a finite generator whose iterate overflows (a huge
+// inflow into a state with a tiny outflow), where the NaN that follows
+// never raises the successive-iterate difference. Neither may be
+// reported as converged.
+func TestGaussSeidelRejectsNonFinite(t *testing.T) {
+	tiny := NewCOO(2, 2)
+	tiny.Add(0, 1, 1e-300)
+	tiny.Add(0, 0, -1e-300)
+	tiny.Add(1, 0, 1e308)
+	tiny.Add(1, 1, -1e308)
+	for name, q := range map[string]*CSR{
+		"overflowing diagonal": mm1kGenerator(1e308, 1e308, 8).ToCSR(),
+		"overflowing iterate":  tiny.ToCSR(),
+	} {
+		var st obsv.SolveStats
+		if pi, err := SteadyStateGaussSeidel(q, Options{Stats: &st}); err == nil {
+			t.Errorf("%s: returned %v with a nil error", name, pi)
+		}
+		if st.Converged {
+			t.Errorf("%s: reported as converged", name)
+		}
+	}
+}
+
 func TestUniformizationConstant(t *testing.T) {
 	csr := mm1kGenerator(5, 10, 3).ToCSR()
 	lam := UniformizationConstant(csr)
