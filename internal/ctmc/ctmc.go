@@ -18,7 +18,8 @@ type Transition struct {
 }
 
 // Chain is an immutable labelled CTMC: a Structure (the state table,
-// possibly shared with sibling chains) plus a transition list.
+// possibly shared with sibling chains) plus a transition list. The
+// zero Chain is the empty chain.
 type Chain struct {
 	st          *Structure
 	transitions []Transition
@@ -103,7 +104,12 @@ func (b *Builder) Build() *Chain {
 }
 
 // NumStates returns the number of states.
-func (c *Chain) NumStates() int { return len(c.st.labels) }
+func (c *Chain) NumStates() int {
+	if c.st == nil {
+		return 0
+	}
+	return len(c.st.labels)
+}
 
 // NumTransitions returns the number of recorded transitions (including
 // self-loops).
@@ -113,11 +119,21 @@ func (c *Chain) NumTransitions() int { return len(c.transitions) }
 func (c *Chain) Label(i int) string { return c.st.labels[i] }
 
 // StateIndex returns the index of the labelled state.
-func (c *Chain) StateIndex(label string) (int, bool) { return c.st.Index(label) }
+func (c *Chain) StateIndex(label string) (int, bool) {
+	if c.st == nil {
+		return 0, false
+	}
+	return c.st.Index(label)
+}
 
 // Nodes returns how many node populations the chain's structure records
 // per state: 0 when its producer recorded none.
-func (c *Chain) Nodes() int { return c.st.nodes }
+func (c *Chain) Nodes() int {
+	if c.st == nil {
+		return 0
+	}
+	return c.st.nodes
+}
 
 // Population returns the number of jobs at node j in state i, read from
 // the population table of the chain's structure.

@@ -284,3 +284,47 @@ func TestMeanAt(t *testing.T) {
 		t.Fatalf("MeanAt %v want %v", m, want)
 	}
 }
+
+// TestSteadyStateAutoMatchesSteadyState checks that attaching stats to
+// the solve cascade leaves the distribution as SteadyState returns it,
+// and that the stats are filled only when the iterative stage runs.
+func TestSteadyStateAutoMatchesSteadyState(t *testing.T) {
+	// Small chain: GTH path (stats stay empty).
+	small := buildMM1K(5, 10, 10)
+	want, err := small.SteadyState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st obsv.SolveStats
+	got, err := small.SteadyStateAuto(linalg.Options{Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := numeric.MaxAbsDiff(got, want); d > 1e-12 {
+		t.Fatalf("auto (GTH path) differs by %g", d)
+	}
+	if st.Solver != "" {
+		t.Fatalf("GTH path must not fill iterative stats, got %q", st.Solver)
+	}
+
+	// Large chain: iterative path with stats.
+	large := buildMM1K(5, 10, 600)
+	want, err = large.SteadyState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = large.SteadyStateAuto(linalg.Options{Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := numeric.MaxAbsDiff(got, want); d > 1e-9 {
+		t.Fatalf("auto (iterative path) differs by %g", d)
+	}
+	if st.Solver == "" || !st.Converged {
+		t.Fatalf("iterative path must fill stats: %+v", st)
+	}
+
+	if _, err := (&Chain{}).SteadyStateAuto(linalg.Options{}); err == nil {
+		t.Fatal("empty chain must error")
+	}
+}
