@@ -44,4 +44,34 @@
 // the tagged-job chains' PASTA start, the fill-time passages and the
 // response mixtures — take the typed state slice the deriver returns,
 // indexed like the chain.
+//
+// Compositional builders. The two-node models are configurations of
+// two rules rather than hand-written derivations. The TAG rule
+// (tagrule.go) is the one set of transition rules of Figure 3 and
+// Figure 5, parameterised by the arrival process (Poisson, or MMPP-2
+// with its phase flip emitted first), the node-1 service (exponential,
+// or H2 with the branch sampled at the head and re-sampled with alpha'
+// at repeatservice), the rate slot of each node's service and timer,
+// the timer phase count, the literal-Figure-3 tick during residual
+// service and serve-alone-to-completion. It emits every edge
+// symbolically (rate slot × branch coefficient) through the skeleton
+// deriver, so every TAG chain is a skeleton instantiated at its rates
+// and there is one rate arithmetic. TAGExp is the Poisson, exponential
+// configuration (LiteralFigure3 adds the extra phase and the tick);
+// TAGH2 the Poisson, H2 one; TAGExpMMPP and TAGH2MMPP the same with
+// MMPP-2 arrivals, whose zero phase-2 rate removes its edges as a zero
+// coefficient does; TAGHetero the exponential one with a service and a
+// timer slot per node (ServeAloneToCompletion suppresses the lone
+// job's timeout). One validator on the configuration vets them all.
+// The routing rule (route.go) is the baselines' counterpart: join the
+// shortest queue or round robin over two bounded queues that share one
+// queue piece (an arrival at an idle node, and a departure with a job
+// behind it, sample the new job's H2 branch) and one service
+// normaliser, under Poisson or MMPP-2 arrivals. ShortestQueue is the
+// Poisson JSQ configuration, ShortestQueueMMPP the MMPP-2 one with
+// exponential service, and RoundRobinAlloc the Poisson round-robin
+// one. Each configuration keeps its own state label format, and
+// fingerprint_test.go pins every chain's labels, transition order and
+// rate bits. TAGMultiNode and the tagged-job chains keep their own
+// derivations.
 package core

@@ -18,6 +18,8 @@ const (
 	ActTick2         = "tick2"
 	ActLossArrival   = "loss_arrival"  // dropped on arrival at node 1
 	ActLossTransfer  = "loss_transfer" // dropped at node 2 after timing out
+
+	actSwitch = "switch" // MMPP-2 arrival phase flip
 )
 
 // Measures are the stationary performance measures of a two-node

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pepatags/internal/ctmc"
+	"pepatags/internal/dist"
 )
 
 // MMPP2 parameterises a two-phase Markov-modulated Poisson arrival
@@ -16,7 +17,7 @@ type MMPP2 struct {
 }
 
 func (a MMPP2) validate() {
-	if a.Rate1 <= 0 || a.Rate2 < 0 || a.Switch1 <= 0 || a.Switch2 <= 0 {
+	if !(a.Rate1 > 0 && a.Rate2 >= 0 && a.Switch1 > 0 && a.Switch2 > 0) {
 		panic(fmt.Sprintf("core: invalid MMPP2 %+v", a))
 	}
 }
@@ -55,96 +56,62 @@ type TAGExpMMPP struct {
 
 // NewTAGExpMMPP validates and returns the model.
 func NewTAGExpMMPP(arr MMPP2, mu, t float64, n, k1, k2 int) TAGExpMMPP {
-	arr.validate()
-	if mu <= 0 || t <= 0 || n < 1 || k1 < 1 || k2 < 1 {
-		panic("core: invalid TAGExpMMPP parameters")
-	}
-	return TAGExpMMPP{Arrivals: arr, Mu: mu, T: t, N: n, K1: k1, K2: k2}
+	m := TAGExpMMPP{Arrivals: arr, Mu: mu, T: t, N: n, K1: k1, K2: k2}
+	m.config() // validates
+	return m
 }
 
-type tagMMPPState struct {
-	tagExpState
-	phase int // arrival phase 0 or 1
-}
-
-func (s tagMMPPState) label() string {
-	return fmt.Sprintf("P%d|%s", s.phase, s.tagExpState.label())
+// config returns the model's configuration of the TAG rule, validated.
+func (m TAGExpMMPP) config() *tagConfig {
+	return tagConfig{
+		model: "TAGExpMMPP", kind: "tagexp-mmpp", n: m.N, k1: m.K1, k2: m.K2, arrivals: &m.Arrivals,
+		mu: [2]RateSlot{SlotMu, SlotMu}, timer: [2]RateSlot{SlotT, SlotT}, rates: RateValues{Mu: m.Mu, T: m.T}.table(),
+	}.checked()
 }
 
 // Build derives the CTMC (the Poisson model's space times the two
 // arrival phases).
-func (m TAGExpMMPP) Build() *ctmc.Chain {
-	top := m.N - 1
-	d := newRateDeriver(tagMMPPState{tagExpState: tagExpState{tm1: top, tm2: top}})
-	emit := d.emit
-	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
-	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-	d.explore(func(s tagMMPPState) {
-
-		// Phase flip.
-		flip := s
-		flip.phase = 1 - s.phase
-		emit(flip, switches[s.phase], "switch")
-
-		// Node 1 with the phase-dependent arrival rate.
-		lambda := rates[s.phase]
-		if lambda > 0 {
-			if s.q1 < m.K1 {
-				to := s
-				to.q1++
-				emit(to, lambda, ActArrival)
-			} else {
-				emit(s, lambda, ActLossArrival)
-			}
-		}
-		if s.q1 > 0 {
-			to := s
-			to.q1--
-			to.tm1 = top
-			emit(to, m.Mu, ActService1)
-			if s.tm1 > 0 {
-				to := s
-				to.tm1--
-				emit(to, m.T, ActTick1)
-			} else {
-				to := s
-				to.q1--
-				to.tm1 = top
-				if s.q2 < m.K2 {
-					to.q2++
-					emit(to, m.T, ActTimeout)
-				} else {
-					emit(to, m.T, ActLossTransfer)
-				}
-			}
-		}
-
-		// Node 2 (identical to the Poisson model).
-		if s.q2 > 0 {
-			if !s.sv2 {
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, m.T, ActTick2)
-				} else {
-					to := s
-					to.sv2 = true
-					to.tm2 = top
-					emit(to, m.T, ActRepeatService)
-				}
-			} else {
-				to := s
-				to.q2--
-				to.sv2 = false
-				emit(to, m.Mu, ActService2)
-			}
-		}
-	})
-	return d.chain()
-}
+func (m TAGExpMMPP) Build() *ctmc.Chain { return m.config().build() }
 
 // Analyze solves the model.
 func (m TAGExpMMPP) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }
+
+// TAGH2MMPP combines the paper's two stress axes analytically:
+// hyper-exponential (heavy-tailed) service *and* bursty MMPP-2
+// arrivals — the regime where TAG's strengths (size filtering) and
+// weaknesses (all bursts land on node 1) collide. The CTMC is the
+// Figure 5 model's space times the two arrival phases.
+type TAGH2MMPP struct {
+	Arrivals MMPP2
+	Service  dist.HyperExp
+	T        float64
+	N        int
+	K1, K2   int
+}
+
+// NewTAGH2MMPP validates and returns the model.
+func NewTAGH2MMPP(arr MMPP2, service dist.HyperExp, t float64, n, k1, k2 int) TAGH2MMPP {
+	m := TAGH2MMPP{Arrivals: arr, Service: service, T: t, N: n, K1: k1, K2: k2}
+	m.config() // validates
+	return m
+}
+
+// config returns the model's configuration of the TAG rule, validated.
+func (m TAGH2MMPP) config() *tagConfig {
+	return tagConfig{
+		model: "TAGH2MMPP", kind: "tagh2-mmpp", n: m.N, k1: m.K1, k2: m.K2, arrivals: &m.Arrivals, h2: true,
+		service: m.Service, timer: [2]RateSlot{SlotT, SlotT}, rates: RateValues{T: m.T}.table(),
+	}.checked()
+}
+
+// AlphaPrime mirrors TAGH2.
+func (m TAGH2MMPP) AlphaPrime() float64 { return m.config().rates.coeff[CoeffAlphaPrime] }
+
+// Build derives the CTMC.
+func (m TAGH2MMPP) Build() *ctmc.Chain { return m.config().build() }
+
+// Analyze solves the model.
+func (m TAGH2MMPP) Analyze() (Measures, error) { return analyzeTwoNode(m.Build()) }
 
 // ShortestQueueMMPP is the JSQ baseline under the same MMPP-2
 // arrivals, for like-for-like burstiness comparisons.
@@ -154,66 +121,17 @@ type ShortestQueueMMPP struct {
 	K        int
 }
 
-type jsqMMPPState struct {
-	phase  int
-	q1, q2 int
-}
-
-func (s jsqMMPPState) label() string { return fmt.Sprintf("P%d|A%d|B%d", s.phase, s.q1, s.q2) }
-
-func (s jsqMMPPState) population(dst []int32) []int32 {
-	return append(dst, int32(s.q1), int32(s.q2))
+// config returns the model's configuration of the routing rule,
+// validated: join the shortest queue under MMPP-2 arrivals, with
+// exponential service.
+func (m ShortestQueueMMPP) config() *routeConfig {
+	return routeConfig{k: m.K, arrivals: &m.Arrivals, form: routeLabelPhase}.checked("ShortestQueueMMPP", dist.Exponential{Mu: m.Mu})
 }
 
 // Build derives the CTMC.
 func (m ShortestQueueMMPP) Build() *ctmc.Chain {
-	m.Arrivals.validate()
-	if m.Mu <= 0 || m.K < 1 {
-		panic("core: invalid ShortestQueueMMPP")
-	}
-	d := newRateDeriver(jsqMMPPState{})
-	emit := d.emit
-	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
-	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-	d.explore(func(s jsqMMPPState) {
-		flip := s
-		flip.phase = 1 - s.phase
-		emit(flip, switches[s.phase], "switch")
-
-		lambda := rates[s.phase]
-		if lambda > 0 {
-			switch {
-			case s.q1 >= m.K && s.q2 >= m.K:
-				emit(s, lambda, ActLossArrival)
-			case s.q1 < s.q2 || s.q2 >= m.K:
-				to := s
-				to.q1++
-				emit(to, lambda, ActArrival)
-			case s.q2 < s.q1 || s.q1 >= m.K:
-				to := s
-				to.q2++
-				emit(to, lambda, ActArrival)
-			default:
-				a := s
-				a.q1++
-				emit(a, lambda/2, ActArrival)
-				bq := s
-				bq.q2++
-				emit(bq, lambda/2, ActArrival)
-			}
-		}
-		if s.q1 > 0 {
-			to := s
-			to.q1--
-			emit(to, m.Mu, ActService1)
-		}
-		if s.q2 > 0 {
-			to := s
-			to.q2--
-			emit(to, m.Mu, ActService2)
-		}
-	})
-	return d.chain()
+	c, _ := m.config().derive()
+	return c
 }
 
 // Analyze solves the model.

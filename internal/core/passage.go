@@ -11,14 +11,15 @@ import "fmt"
 // ExpectedFillTimes returns the expected time, starting from the empty
 // system, until node 1 first fills and until node 2 first fills.
 func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
-	sk, states := m.derive()
-	c := sk.chain(m.RateValues())
+	cfg := m.config()
+	sk, states := cfg.derive()
+	c := sk.chain(&cfg.rates)
 	const init = 0 // derivation starts from the empty system
-	h1, err := c.ExpectedHittingTimes(func(s int) bool { return states[s].q1 >= m.K1 })
+	h1, err := c.ExpectedHittingTimes(func(s int) bool { return int(states[s].q1) >= m.K1 })
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: node-1 fill time: %w", err)
 	}
-	h2, err := c.ExpectedHittingTimes(func(s int) bool { return states[s].q2 >= m.K2 })
+	h2, err := c.ExpectedHittingTimes(func(s int) bool { return int(states[s].q2) >= m.K2 })
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: node-2 fill time: %w", err)
 	}
@@ -30,16 +31,17 @@ func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
 // precondition under JSQ is both queues full; "either full" is
 // reported for symmetry with TAG and "both full" as the loss event).
 func (m ShortestQueue) ExpectedFillTime() (eitherFull, bothFull float64, err error) {
-	c, states := m.derive()
+	c, states := m.config().derive()
+	k := int32(m.K)
 	const init = 0 // derivation starts from the empty system
 	he, err := c.ExpectedHittingTimes(func(s int) bool {
-		return states[s].q1 >= m.K || states[s].q2 >= m.K
+		return states[s].q[0] >= k || states[s].q[1] >= k
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	hb, err := c.ExpectedHittingTimes(func(s int) bool {
-		return states[s].q1 >= m.K && states[s].q2 >= m.K
+		return states[s].q[0] >= k && states[s].q[1] >= k
 	})
 	if err != nil {
 		return 0, 0, err

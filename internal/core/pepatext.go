@@ -19,8 +19,7 @@ import (
 // identical to the direct builder — that equivalence is asserted in
 // tests.
 func (m TAGExp) PEPASource() string {
-	m.validate()
-	top := m.phases() - 1
+	top := m.config().phases() - 1
 	var sb strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
 
@@ -57,14 +56,14 @@ func (m TAGExp) PEPASource() string {
 
 	// Queue 2. QB = waiting (Q2), QBS = in residual service (Q2').
 	tickQBS := ""
-	if m.tick2DuringService() {
+	if m.LiteralFigure3 {
 		tickQBS = " + (tick2, T).QBS%d"
 	}
 	w("QB0 = (timeout, T).QB1;\n")
 	for i := 1; i < m.K2; i++ {
 		w("QB%d = (timeout, T).QB%d + (tick2, T).QB%d + (repeatservice, T).QBS%d;\n",
 			i, i+1, i, i)
-		if m.tick2DuringService() {
+		if m.LiteralFigure3 {
 			w("QBS%d = (timeout, T).QBS%d"+fmt.Sprintf(tickQBS, i)+" + (service2, mu).QB%d;\n",
 				i, i+1, i-1)
 		} else {
@@ -73,7 +72,7 @@ func (m TAGExp) PEPASource() string {
 	}
 	w("QB%d = (timeout, T).QB%d + (tick2, T).QB%d + (repeatservice, T).QBS%d;\n",
 		m.K2, m.K2, m.K2, m.K2)
-	if m.tick2DuringService() {
+	if m.LiteralFigure3 {
 		w("QBS%d = (timeout, T).QBS%d"+fmt.Sprintf(tickQBS, m.K2)+" + (service2, mu).QB%d;\n\n",
 			m.K2, m.K2, m.K2-1)
 	} else {

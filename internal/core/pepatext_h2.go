@@ -18,10 +18,9 @@ import (
 // fractions of the active timer rate — exactly the alpha*t /
 // (1-alpha)*t rates of Figure 5.
 func (m TAGH2) PEPASource() string {
-	m.validate()
+	ap := m.AlphaPrime()
 	top := m.N - 1
 	alpha := m.Service.Alpha[0]
-	ap := m.AlphaPrime()
 	var sb strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
 

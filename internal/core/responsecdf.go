@@ -87,7 +87,7 @@ func (m ShortestQueue) ResponseDistribution() (*ResponseDistribution, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
 	}
-	c, states := m.derive()
+	c, states := m.config().derive()
 	pi, err := c.SteadyState()
 	if err != nil {
 		return nil, err
@@ -95,18 +95,19 @@ func (m ShortestQueue) ResponseDistribution() (*ResponseDistribution, error) {
 	mix := &responseMixture{mu: e.Mu, weights: map[int]float64{}}
 	var admitted float64
 	for i, st := range states {
-		if st.q1 >= m.K && st.q2 >= m.K {
+		q1, q2 := int(st.q[0]), int(st.q[1])
+		if q1 >= m.K && q2 >= m.K {
 			continue // arrival lost
 		}
 		// Join the shorter queue; ties split evenly.
 		switch {
-		case st.q1 < st.q2 || st.q2 >= m.K:
-			mix.weights[st.q1+1] += pi[i]
-		case st.q2 < st.q1 || st.q1 >= m.K:
-			mix.weights[st.q2+1] += pi[i]
+		case q1 < q2 || q2 >= m.K:
+			mix.weights[q1+1] += pi[i]
+		case q2 < q1 || q1 >= m.K:
+			mix.weights[q2+1] += pi[i]
 		default:
-			mix.weights[st.q1+1] += pi[i] / 2
-			mix.weights[st.q2+1] += pi[i] / 2
+			mix.weights[q1+1] += pi[i] / 2
+			mix.weights[q2+1] += pi[i] / 2
 		}
 		admitted += pi[i]
 	}
@@ -158,7 +159,7 @@ func (m RoundRobinAlloc) ResponseDistribution() (*ResponseDistribution, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
 	}
-	c, states := m.derive()
+	c, states := m.config().derive()
 	pi, err := c.SteadyState()
 	if err != nil {
 		return nil, err
@@ -166,7 +167,7 @@ func (m RoundRobinAlloc) ResponseDistribution() (*ResponseDistribution, error) {
 	mix := &responseMixture{mu: e.Mu, weights: map[int]float64{}}
 	var admitted float64
 	for i, s := range states {
-		q := s.queue()
+		q := int(s.q[s.next])
 		if q >= m.K {
 			continue // the designated queue is full: arrival lost
 		}

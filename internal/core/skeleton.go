@@ -28,7 +28,8 @@ import (
 type RateSlot uint8
 
 const (
-	// SlotLambda is the arrival rate.
+	// SlotLambda is the arrival rate (the phase-1 rate of MMPP-2
+	// arrivals).
 	SlotLambda RateSlot = iota
 	// SlotMu is the exponential service rate (TAGExp).
 	SlotMu
@@ -37,7 +38,19 @@ const (
 	// SlotMu1 and SlotMu2 are the H2 branch service rates (TAGH2).
 	SlotMu1
 	SlotMu2
+
+	// The TAG configurations without a public shape also draw on the
+	// node-2 timer rate of TAGHetero and on the phase-2 arrival rate
+	// and the two phase-flip rates of MMPP-2 arrivals.
+	slotT2
+	slotLambda2
+	slotSwitch1
+	slotSwitch2
+	numSlots
 )
+
+// slotNames names the slots in validation messages.
+var slotNames = [numSlots]string{"lambda", "mu", "t", "mu1", "mu2", "t2", "lambda2", "switch1", "switch2"}
 
 // Coeff identifies the branch-probability factor multiplying the slot
 // rate. CoeffOne leaves the slot rate untouched; the others are the H2
@@ -69,44 +82,53 @@ type RateValues struct {
 	AlphaPrime float64
 }
 
-func (v RateValues) slot(s RateSlot) float64 {
-	switch s {
-	case SlotLambda:
-		return v.Lambda
-	case SlotMu:
-		return v.Mu
-	case SlotT:
-		return v.T
-	case SlotMu1:
-		return v.Mu1
-	default:
-		return v.Mu2
+// rateTable holds the value of every rate slot and branch coefficient,
+// indexed by slot and by coefficient.
+type rateTable struct {
+	slot  [numSlots]float64
+	coeff [numCoeffs]float64
+}
+
+func (v RateValues) table() rateTable {
+	return rateTable{
+		slot:  [numSlots]float64{SlotLambda: v.Lambda, SlotMu: v.Mu, SlotT: v.T, SlotMu1: v.Mu1, SlotMu2: v.Mu2},
+		coeff: branchCoeffs(v.Alpha, v.AlphaPrime),
 	}
 }
 
-func (v RateValues) coeff(c Coeff) float64 {
-	switch c {
-	case CoeffAlpha:
-		return v.Alpha
-	case CoeffOneMinusAlpha:
-		return 1 - v.Alpha
-	case CoeffAlphaPrime:
-		return v.AlphaPrime
-	case CoeffOneMinusAlphaPrime:
-		return 1 - v.AlphaPrime
-	default:
-		return 1
+// branchCoeffs returns the coefficient values for the branch
+// probabilities alpha and alpha'.
+func branchCoeffs(alpha, alphaPrime float64) [numCoeffs]float64 {
+	return [numCoeffs]float64{
+		CoeffOne:                1,
+		CoeffAlpha:              alpha,
+		CoeffOneMinusAlpha:      1 - alpha,
+		CoeffAlphaPrime:         alphaPrime,
+		CoeffOneMinusAlphaPrime: 1 - alphaPrime,
 	}
 }
 
-// zeroMask returns the degeneracy class of the branch coefficients:
+// zeroCoeffs returns the degeneracy class of the branch coefficients:
 // bit i is set iff coefficient kind i evaluates to exactly zero, which
 // removes its edges from the reachable structure.
-func (v RateValues) zeroMask() uint8 {
+func (r *rateTable) zeroCoeffs() uint8 {
 	var m uint8
-	for c := Coeff(1); c < numCoeffs; c++ {
-		if v.coeff(c) == 0 { //vet:allow floatcmp: structural sparsity mask
+	for c, v := range r.coeff {
+		if v == 0 { //vet:allow floatcmp: structural sparsity mask
 			m |= 1 << c
+		}
+	}
+	return m
+}
+
+// zeroSlots returns the slots valued exactly zero (bit i for slot i):
+// an MMPP-2 phase-2 rate of 0 removes its edges from the structure
+// just as a zero coefficient does.
+func (r *rateTable) zeroSlots() uint16 {
+	var m uint16
+	for s, v := range r.slot {
+		if v == 0 { //vet:allow floatcmp: structural sparsity mask
+			m |= 1 << s
 		}
 	}
 	return m
@@ -120,7 +142,8 @@ func (v RateValues) zeroMask() uint8 {
 // test asserts both directions), so Key is a sound content address for
 // caching derived structure.
 type Shape struct {
-	// Kind is "tagexp" or "tagh2".
+	// Kind is "tagexp" or "tagh2". The TAG configurations without a
+	// public shape, whose skeletons are never cached, name their own.
 	Kind string
 	// Phases is the number of exponential stages in the timeout clock
 	// (N, or N+1 under TAGExp's LiteralFigure3 semantics).
@@ -182,16 +205,23 @@ func (sk *Skeleton) Label(i int) string { return sk.structure.Label(i) }
 // not match the shape (an alpha of exactly 0 or 1 changes the reachable
 // structure) or if any resulting rate is not positive and finite.
 func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
+	rt := v.table()
 	if sk.Shape.Kind == "tagh2" {
-		if m := v.zeroMask(); m != sk.Shape.ZeroCoeffs {
+		if m := rt.zeroCoeffs(); m != sk.Shape.ZeroCoeffs {
 			return nil, fmt.Errorf("core: rate values have coefficient degeneracy %02x, skeleton was derived for %02x", m, sk.Shape.ZeroCoeffs)
 		}
 	}
+	return sk.instantiate(&rt)
+}
+
+// instantiate binds a rate table to the skeleton: each edge's rate is
+// its slot value times its coefficient value.
+func (sk *Skeleton) instantiate(rt *rateTable) (*ctmc.Chain, error) {
 	trs := make([]ctmc.Transition, len(sk.Edges))
 	for i, e := range sk.Edges {
-		r := v.slot(e.Slot)
+		r := rt.slot[e.Slot]
 		if e.Coeff != CoeffOne {
-			r = r * v.coeff(e.Coeff)
+			r = r * rt.coeff[e.Coeff]
 		}
 		if !(r > 0) {
 			return nil, fmt.Errorf("core: non-positive rate %g for action %q (slot %d, coeff %d)", r, e.Action, e.Slot, e.Coeff)
@@ -202,24 +232,25 @@ func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
 }
 
 // skeletonDeriver records symbolic transitions, for the TAG models
-// whose structure is derived once per shape. Edges whose coefficient
-// is exactly zero at the shape's degeneracy mask are absent.
+// whose structure is derived once per shape. Edges whose slot or
+// coefficient is exactly zero are absent.
 type skeletonDeriver[S modelState] struct {
 	deriver[S]
-	zero  uint8
-	edges []SymEdge
+	zeroSlots  uint16
+	zeroCoeffs uint8
+	edges      []SymEdge
 }
 
-func newSkeletonDeriver[S modelState](zero uint8, initial S) *skeletonDeriver[S] {
-	d := &skeletonDeriver[S]{deriver: newDeriver[S](), zero: zero}
+func newSkeletonDeriver[S modelState](initial S, zeroSlots uint16, zeroCoeffs uint8) *skeletonDeriver[S] {
+	d := &skeletonDeriver[S]{deriver: newDeriver[S](), zeroSlots: zeroSlots, zeroCoeffs: zeroCoeffs}
 	d.visit(initial)
 	return d
 }
 
 // emit records a symbolic transition from the state being expanded.
 func (d *skeletonDeriver[S]) emit(to S, slot RateSlot, coeff Coeff, action string) {
-	if d.zero&(1<<coeff) != 0 {
-		return // degenerate branch probability (alpha 0 or 1)
+	if d.zeroSlots&(1<<slot) != 0 || d.zeroCoeffs&(1<<coeff) != 0 {
+		return // a rate of exactly 0, or a degenerate branch probability (alpha 0 or 1)
 	}
 	d.edges = append(d.edges, SymEdge{From: int32(d.from), To: int32(d.visit(to)), Slot: slot, Coeff: coeff, Action: action})
 }
@@ -229,10 +260,10 @@ func (d *skeletonDeriver[S]) skeleton(shape Shape) *Skeleton {
 	return &Skeleton{Shape: shape, Edges: d.edges, structure: d.structure()}
 }
 
-// chain instantiates sk at v. The models vet their rates on
+// chain instantiates sk at rt. The models vet their rates on
 // construction, so an error here is a bug.
-func (sk *Skeleton) chain(v RateValues) *ctmc.Chain {
-	c, err := sk.Instantiate(v)
+func (sk *Skeleton) chain(rt *rateTable) *ctmc.Chain {
+	c, err := sk.instantiate(rt)
 	if err != nil {
 		panic("core: " + err.Error())
 	}

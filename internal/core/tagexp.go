@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"pepatags/internal/ctmc"
-)
+import "pepatags/internal/ctmc"
 
 // TAGExp is the two-node TAG system of the paper's Figure 3:
 // exponential service at rate Mu on both nodes, Poisson arrivals at
@@ -43,62 +39,28 @@ type TAGExp struct {
 // semantics.
 func NewTAGExp(lambda, mu, t float64, n, k1, k2 int) TAGExp {
 	m := TAGExp{Lambda: lambda, Mu: mu, T: t, N: n, K1: k1, K2: k2}
-	m.validate()
+	m.config() // validates
 	return m
 }
 
-func (m TAGExp) validate() {
-	if m.Lambda <= 0 || m.Mu <= 0 || m.T <= 0 || m.N < 1 || m.K1 < 1 || m.K2 < 1 {
-		panic(fmt.Sprintf("core: invalid TAGExp parameters %+v", m))
-	}
+// config returns the model's configuration of the TAG rule, validated.
+func (m TAGExp) config() *tagConfig {
+	return tagConfig{
+		model: "TAGExp", kind: "tagexp", n: m.N, k1: m.K1, k2: m.K2, literal: m.LiteralFigure3,
+		mu: [2]RateSlot{SlotMu, SlotMu}, timer: [2]RateSlot{SlotT, SlotT}, rates: m.RateValues().table(),
+	}.checked()
 }
-
-// phases returns the number of exponential stages in the timeout.
-func (m TAGExp) phases() int {
-	if m.LiteralFigure3 {
-		return m.N + 1
-	}
-	return m.N
-}
-
-// tick2DuringService reports whether the node-2 timer advances while
-// the residual service runs.
-func (m TAGExp) tick2DuringService() bool { return m.LiteralFigure3 }
 
 // MeanTimeoutDuration is the mean of the Erlang timeout.
-func (m TAGExp) MeanTimeoutDuration() float64 { return float64(m.phases()) / m.T }
+func (m TAGExp) MeanTimeoutDuration() float64 { return float64(m.config().phases()) / m.T }
 
 // EffectiveTimeoutRate is the reciprocal of the mean total timeout
 // duration, the quantity on the paper's x-axes (t/n).
 func (m TAGExp) EffectiveTimeoutRate() float64 { return 1 / m.MeanTimeoutDuration() }
 
-// tagExpState is the joint state of the CTMC.
-type tagExpState struct {
-	q1  int  // jobs at node 1 (0..K1)
-	tm1 int  // node-1 timer phase: phases-1..0, reset on service/timeout
-	q2  int  // jobs at node 2 (0..K2)
-	sv2 bool // node-2 head job in residual service (Q2' derivative)
-	tm2 int  // node-2 timer phase
-}
-
-func (s tagExpState) label() string {
-	sv := "w"
-	if s.sv2 {
-		sv = "s"
-	}
-	return fmt.Sprintf("Q1_%d.T1_%d|Q2_%d%s.T2_%d", s.q1, s.tm1, s.q2, sv, s.tm2)
-}
-
-func (s tagExpState) population(dst []int32) []int32 {
-	return append(dst, int32(s.q1), int32(s.q2))
-}
-
 // Shape returns the canonical model structure: everything that
 // determines the reachable state space, with the rates abstracted away.
-func (m TAGExp) Shape() Shape {
-	m.validate()
-	return Shape{Kind: "tagexp", Phases: m.phases(), K1: m.K1, K2: m.K2, Literal: m.LiteralFigure3}
-}
+func (m TAGExp) Shape() Shape { return m.config().shape() }
 
 // RateValues returns this instance's binding for the shape's rate
 // slots: arrivals, service and the timer phase rate.
@@ -112,90 +74,13 @@ func (m TAGExp) RateValues() RateValues {
 // this instance's rates, so the derivation cost can be paid once per
 // shape and shared across parameter points.
 func (m TAGExp) Skeleton() *Skeleton {
-	sk, _ := m.derive()
+	sk, _ := m.config().derive()
 	return sk
-}
-
-// derive returns the skeleton and its typed states, indexed like the
-// skeleton's state table. The initial (empty) state is state 0.
-func (m TAGExp) derive() (*Skeleton, []tagExpState) {
-	m.validate()
-	top := m.phases() - 1 // timer reset value
-	d := newSkeletonDeriver(0, tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top})
-	d.explore(func(s tagExpState) {
-		emit := func(to tagExpState, slot RateSlot, action string) {
-			d.emit(to, slot, CoeffOne, action)
-		}
-
-		// --- Node 1 ---
-		if s.q1 < m.K1 {
-			to := s
-			to.q1++
-			emit(to, SlotLambda, ActArrival)
-		} else {
-			emit(s, SlotLambda, ActLossArrival)
-		}
-		if s.q1 > 0 {
-			// service1 wins the race: depart, reset the timer.
-			to := s
-			to.q1--
-			to.tm1 = top
-			emit(to, SlotMu, ActService1)
-			if s.tm1 > 0 {
-				// tick1
-				to := s
-				to.tm1--
-				emit(to, SlotT, ActTick1)
-			} else {
-				// timeout fires: job killed at node 1, restarted at node 2.
-				to := s
-				to.q1--
-				to.tm1 = top
-				if s.q2 < m.K2 {
-					to.q2++
-					emit(to, SlotT, ActTimeout)
-				} else {
-					emit(to, SlotT, ActLossTransfer)
-				}
-			}
-		}
-
-		// --- Node 2 ---
-		if s.q2 > 0 {
-			if !s.sv2 {
-				// Head job in its repeat period (Q2 derivative).
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, SlotT, ActTick2)
-				} else {
-					// repeatservice fires: residual service begins,
-					// timer returns to the top.
-					to := s
-					to.sv2 = true
-					to.tm2 = top
-					emit(to, SlotT, ActRepeatService)
-				}
-			} else {
-				// Residual service (Q2' derivative).
-				if m.tick2DuringService() && s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, SlotT, ActTick2)
-				}
-				to := s
-				to.q2--
-				to.sv2 = false
-				emit(to, SlotMu, ActService2)
-			}
-		}
-	})
-	return d.skeleton(m.Shape()), d.states
 }
 
 // Build derives the reachable CTMC: the skeleton instantiated with this
 // instance's rates.
-func (m TAGExp) Build() *ctmc.Chain { return m.Skeleton().chain(m.RateValues()) }
+func (m TAGExp) Build() *ctmc.Chain { return m.config().build() }
 
 // Analyze solves the model and returns the paper's measures.
 func (m TAGExp) Analyze() (Measures, error) {

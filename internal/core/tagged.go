@@ -83,25 +83,25 @@ type TaggedResponse struct {
 
 // TaggedJob builds and solves the tagged-job chain.
 func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
-	m.validate()
+	c := m.config()
 	if m.LiteralFigure3 {
 		return nil, fmt.Errorf("core: tagged-job analysis implements the calibrated semantics only")
 	}
-	top := m.phases() - 1
+	top := c.phases() - 1
 
 	// Initial distribution by PASTA over the stationary system state.
-	sk, sysStates := m.derive()
-	pi, err := sk.chain(m.RateValues()).SteadyState()
+	sk, sysStates := c.derive()
+	pi, err := sk.chain(&c.rates).SteadyState()
 	if err != nil {
 		return nil, err
 	}
 	d := newRateDeriver(taggedState{loc: 2}, taggedState{loc: 3}) // done, lost
 	var pasta taggedInit
 	for i, st := range sysStates {
-		if st.q1 >= m.K1 {
+		if int(st.q1) >= m.K1 {
 			continue // tagged arrival would be dropped; not admitted
 		}
-		ts := taggedState{loc: 0, pos1: st.q1 + 1, tm1: st.tm1, q2: st.q2, sv2: st.sv2, tm2: st.tm2}
+		ts := taggedState{loc: 0, pos1: int(st.q1) + 1, tm1: int(st.tm1), q2: int(st.q2), sv2: st.sv2 != 0, tm2: int(st.tm2)}
 		if st.q1 == 0 {
 			ts.tm1 = top // service starts fresh (the timer idles at top)
 		}

@@ -46,29 +46,29 @@ func (s taggedH2State) population(dst []int32) []int32 { return dst }
 // TaggedJob builds and solves the absorbing chain for a tagged job of
 // the given branch (1 = short, 2 = long).
 func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
-	m.validate()
+	c := m.config()
 	if jobType != 1 && jobType != 2 {
 		return nil, fmt.Errorf("core: jobType must be 1 or 2, got %d", jobType)
 	}
 	top := m.N - 1
 	alpha := m.Service.Alpha[0]
 	mu := [3]float64{0, m.Service.Mu[0], m.Service.Mu[1]}
-	ap := m.AlphaPrime()
+	ap := c.rates.coeff[CoeffAlphaPrime]
 
 	// PASTA initial distribution.
-	sk, sysStates := m.derive()
-	pi, err := sk.chain(m.RateValues()).SteadyState()
+	sk, sysStates := c.derive()
+	pi, err := sk.chain(&c.rates).SteadyState()
 	if err != nil {
 		return nil, err
 	}
 	d := newRateDeriver(taggedH2State{loc: 2}, taggedH2State{loc: 3}) // done, lost
 	var pasta taggedInit
 	for i, st := range sysStates {
-		if st.q1 >= m.K1 {
+		if int(st.q1) >= m.K1 {
 			continue
 		}
-		ts := taggedH2State{loc: 0, pos1: st.q1 + 1, headTy: st.ty1, tm1: st.tm1,
-			q2: st.q2, sv2: st.sv2, tm2: st.tm2}
+		ts := taggedH2State{loc: 0, pos1: int(st.q1) + 1, headTy: int(st.ty1), tm1: int(st.tm1),
+			q2: int(st.q2), sv2: int(st.sv2), tm2: int(st.tm2)}
 		if st.q1 == 0 {
 			ts.headTy = jobType // the tagged job starts service at once
 			ts.tm1 = top

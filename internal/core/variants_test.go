@@ -1,25 +1,111 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pepatags/internal/dist"
 )
 
+// TestTAGHeteroHomogeneousMatchesTAGExp pins that a homogeneous
+// TAGHetero is the TAGExp configuration of the TAG rule: the same
+// chain (labels, transition order and rate bits) and the same measures.
 func TestTAGHeteroHomogeneousMatchesTAGExp(t *testing.T) {
-	hetero, err := NewTAGHetero(5, 10, 10, 42, 42, 6, 10, 10).Analyze()
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []struct {
+		lambda, mu, t float64
+		n, k1, k2     int
+	}{{5, 10, 42, 6, 10, 10}, {7, 10, 20, 2, 4, 3}} {
+		h := NewTAGHetero(p.lambda, p.mu, p.mu, p.t, p.t, p.n, p.k1, p.k2)
+		e := NewTAGExp(p.lambda, p.mu, p.t, p.n, p.k1, p.k2)
+		if got, want := chainFingerprint(h.Build()), chainFingerprint(e.Build()); got != want {
+			t.Fatalf("%+v: chain fingerprint %s, want %s", p, got, want)
+		}
+		hetero, err := h.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := e.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(t, "L", hetero.L, base.L, 1e-10)
+		close(t, "W", hetero.W, base.W, 1e-10)
+		close(t, "X", hetero.Throughput, base.Throughput, 1e-10)
+		if hetero.States != base.States {
+			t.Fatalf("states %d vs %d", hetero.States, base.States)
+		}
 	}
-	base, err := NewTAGExp(5, 10, 42, 6, 10, 10).Analyze()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestTAGConstructorsRejectInvalidParameters asserts that every TAG
+// constructor validates through the shared configuration: each panics
+// at construction, with a core: message, on a non-positive rate, a
+// short-job probability outside [0, 1], N < 1 or K < 1. The routing
+// baselines validate through theirs.
+func TestTAGConstructorsRejectInvalidParameters(t *testing.T) {
+	h2 := dist.H2ForTAG(0.1, 0.9, 10)
+	arr := BurstyMMPP2(6, 1.5, 0.5)
+	nanAlpha := dist.HyperExp{Alpha: []float64{math.NaN(), 0.5}, Mu: []float64{10, 1}}
+	cases := []struct {
+		name string
+		make func()
+	}{
+		{"exp lambda", func() { NewTAGExp(0, 10, 12, 3, 4, 4) }},
+		{"exp mu", func() { NewTAGExp(5, -1, 12, 3, 4, 4) }},
+		{"exp t", func() { NewTAGExp(5, 10, 0, 3, 4, 4) }},
+		{"exp n", func() { NewTAGExp(5, 10, 12, 0, 4, 4) }},
+		{"exp k1", func() { NewTAGExp(5, 10, 12, 3, 0, 4) }},
+		{"exp k2", func() { NewTAGExp(5, 10, 12, 3, 4, 0) }},
+		{"h2 lambda", func() { NewTAGH2(-5, h2, 12, 3, 4, 4) }},
+		{"h2 mu", func() { NewTAGH2(5, dist.HyperExp{Alpha: []float64{0.5, 0.5}, Mu: []float64{10, 0}}, 12, 3, 4, 4) }},
+		{"h2 alpha", func() { NewTAGH2(5, dist.HyperExp{Alpha: []float64{1.5, -0.5}, Mu: []float64{10, 1}}, 12, 3, 4, 4) }},
+		{"h2 alpha NaN", func() { NewTAGH2(5, nanAlpha, 12, 3, 4, 4) }},
+		{"h2 branches", func() { NewTAGH2(5, dist.HyperExp{Alpha: []float64{1}, Mu: []float64{10}}, 12, 3, 4, 4) }},
+		{"h2 t", func() { NewTAGH2(5, h2, 0, 3, 4, 4) }},
+		{"h2 n", func() { NewTAGH2(5, h2, 12, 0, 4, 4) }},
+		{"h2 k", func() { NewTAGH2(5, h2, 12, 3, 4, 0) }},
+		{"exp-mmpp rate1", func() { NewTAGExpMMPP(MMPP2{Rate1: 0, Rate2: 1, Switch1: 1, Switch2: 1}, 10, 12, 3, 4, 4) }},
+		{"exp-mmpp rate2", func() { NewTAGExpMMPP(MMPP2{Rate1: 1, Rate2: -1, Switch1: 1, Switch2: 1}, 10, 12, 3, 4, 4) }},
+		{"exp-mmpp switch", func() { NewTAGExpMMPP(MMPP2{Rate1: 1, Rate2: 1, Switch1: 0, Switch2: 1}, 10, 12, 3, 4, 4) }},
+		{"exp-mmpp mu", func() { NewTAGExpMMPP(arr, 0, 12, 3, 4, 4) }},
+		{"exp-mmpp t", func() { NewTAGExpMMPP(arr, 10, -12, 3, 4, 4) }},
+		{"exp-mmpp n", func() { NewTAGExpMMPP(arr, 10, 12, 0, 4, 4) }},
+		{"exp-mmpp k", func() { NewTAGExpMMPP(arr, 10, 12, 3, 0, 4) }},
+		{"h2-mmpp mu", func() {
+			NewTAGH2MMPP(arr, dist.HyperExp{Alpha: []float64{0.5, 0.5}, Mu: []float64{10, 0}}, 12, 3, 4, 4)
+		}},
+		{"h2-mmpp alpha", func() {
+			NewTAGH2MMPP(arr, dist.HyperExp{Alpha: []float64{-0.1, 1.1}, Mu: []float64{10, 1}}, 12, 3, 4, 4)
+		}},
+		{"h2-mmpp switch", func() { NewTAGH2MMPP(MMPP2{Rate1: 1, Switch1: 1}, h2, 12, 3, 4, 4) }},
+		{"h2-mmpp t", func() { NewTAGH2MMPP(arr, h2, 0, 3, 4, 4) }},
+		{"h2-mmpp n", func() { NewTAGH2MMPP(arr, h2, 12, 0, 4, 4) }},
+		{"h2-mmpp k", func() { NewTAGH2MMPP(arr, h2, 12, 3, 4, 0) }},
+		{"hetero lambda", func() { NewTAGHetero(0, 10, 12, 20, 25, 2, 4, 3) }},
+		{"hetero mu1", func() { NewTAGHetero(7, 0, 12, 20, 25, 2, 4, 3) }},
+		{"hetero mu2", func() { NewTAGHetero(7, 10, 0, 20, 25, 2, 4, 3) }},
+		{"hetero t1", func() { NewTAGHetero(7, 10, 12, 0, 25, 2, 4, 3) }},
+		{"hetero t2", func() { NewTAGHetero(7, 10, 12, 20, math.NaN(), 2, 4, 3) }},
+		{"hetero n", func() { NewTAGHetero(7, 10, 12, 20, 25, 0, 4, 3) }},
+		{"hetero k1", func() { NewTAGHetero(7, 10, 12, 20, 25, 2, 0, 3) }},
+		{"jsq lambda", func() { NewShortestQueue(0, dist.NewExponential(10), 5) }},
+		{"jsq k", func() { NewShortestQueue(9, h2, 0) }},
+		{"jsq mu", func() { NewShortestQueue(9, dist.HyperExp{Alpha: []float64{0.5, 0.5}, Mu: []float64{10, 0}}, 5) }},
+		{"roundrobin alpha", func() { NewRoundRobinTwoNode(9, dist.HyperExp{Alpha: []float64{2, -1}, Mu: []float64{10, 1}}, 5) }},
+		{"roundrobin branches", func() { NewRoundRobinTwoNode(9, dist.HyperExp{Alpha: []float64{1}, Mu: []float64{10}}, 5) }},
+		{"jsq-mmpp mu", func() { ShortestQueueMMPP{Arrivals: arr, Mu: 0, K: 5}.Build() }},
 	}
-	close(t, "L", hetero.L, base.L, 1e-10)
-	close(t, "W", hetero.W, base.W, 1e-10)
-	close(t, "X", hetero.Throughput, base.Throughput, 1e-10)
-	if hetero.States != base.States {
-		t.Fatalf("states %d vs %d", hetero.States, base.States)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "core: ") {
+					t.Fatalf("panic %q, want a core: message", msg)
+				}
+			}()
+			tc.make()
+		})
 	}
 }
 

@@ -1,6 +1,25 @@
 package sweep
 
-import "pepatags/internal/core"
+import (
+	"pepatags/internal/core"
+	"pepatags/internal/ctmc"
+)
+
+// tagModel is a TAG model the cache derives and solves.
+type tagModel interface {
+	core.SkeletonModel
+	AnalyzeChain(*ctmc.Chain) (core.Measures, error)
+}
+
+// tagModelAt returns the point's TAG model at Erlang phase rate t:
+// TAGExp for exponential service, TAGH2 for H2. It serves the "tagexp",
+// "tagh2" and "opt-t" models, whose service kind picks the model.
+func (p Point) tagModelAt(t float64) tagModel {
+	if p.Service.Kind == "exp" {
+		return core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: t, N: p.N, K1: p.K1, K2: p.K2}
+	}
+	return core.TAGH2{Lambda: p.Lambda, Service: p.Service.h2(), T: t, N: p.N, K1: p.K1, K2: p.K2}
+}
 
 // ShapeKey returns the content address of the model shape behind the
 // point — the cache key its solve will hit — and whether the point
@@ -14,15 +33,8 @@ import "pepatags/internal/core"
 // state-space derivations it will cost (see internal/serve/admission).
 func (p Point) ShapeKey() (key string, cached bool) {
 	switch p.Model {
-	case "tagexp":
-		return core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: max(p.T, 1), N: p.N, K1: p.K1, K2: p.K2}.Shape().Key(), true
-	case "tagh2":
-		return core.TAGH2{Lambda: p.Lambda, Service: p.Service.h2(), T: max(p.T, 1), N: p.N, K1: p.K1, K2: p.K2}.Shape().Key(), true
-	case "opt-t":
-		if p.Service.Kind == "exp" {
-			return core.TAGExp{Lambda: p.Lambda, Mu: max(p.Service.Mu, 1), T: 1, N: p.N, K1: p.K1, K2: p.K2}.Shape().Key(), true
-		}
-		return core.TAGH2{Lambda: p.Lambda, Service: p.Service.h2(), T: 1, N: p.N, K1: p.K1, K2: p.K2}.Shape().Key(), true
+	case "tagexp", "tagh2", "opt-t":
+		return p.tagModelAt(max(p.T, 1)).Shape().Key(), true
 	default:
 		return "", false
 	}
